@@ -5,7 +5,8 @@ Measures forward/backward throughput (elements per second) for the hot
 numeric primitives the evaluation grid spends its time in — dense and
 convolutional layers, the classification losses, and the gradient attacks —
 and cross-checks the vectorized implementations against straightforward
-per-position / per-row reference loops for **bitwise** agreement.
+per-position / per-row reference loops for **bitwise** agreement (and the
+fused CALLOC kernels against the autograd graph they replace).
 
 The identity checks are the point: every kernel here used to be a Python
 loop, and the vectorized replacements are only allowed to ship because they
@@ -43,6 +44,7 @@ from repro.attacks.base import GradientProvider, ThreatModel  # noqa: E402
 from repro.attacks.fgsm import FGSMAttack  # noqa: E402
 from repro.attacks.mim import MIMAttack  # noqa: E402
 from repro.attacks.pgd import PGDAttack  # noqa: E402
+from repro.core.model import CALLOCModel  # noqa: E402
 from repro.nn.layers import Conv1d, Linear, MaxPool1d, ReLU  # noqa: E402
 from repro.nn.losses import CrossEntropyLoss, MSELoss  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
@@ -177,6 +179,29 @@ def run_identity_checks(rng: np.random.Generator) -> Dict[str, bool]:
         batched = attack.perturb(features, labels, victim)
         rowwise = _attack_rowwise(attack, features, labels, victim)
         checks[f"attack_{name}_batched"] = _bitwise_equal(batched, rowwise)
+
+    # CALLOC: the fused numpy kernels == CALLOCModel.forward + autograd.  A
+    # generator of its own leaves ``rng`` (the throughput ops' inputs) as is.
+    calloc_rng = np.random.default_rng(7)
+    model = CALLOCModel(
+        num_aps=NUM_APS,
+        num_classes=NUM_CLASSES,
+        reference_features=calloc_rng.random((NUM_CLASSES, NUM_APS)),
+        reference_positions=calloc_rng.random((NUM_CLASSES, 2)) * 40.0,
+        rng=np.random.default_rng(5),
+    )
+    for param in model.parameters():
+        param.data = param.data + calloc_rng.normal(0.0, 0.1, size=param.data.shape)
+    model.eval()
+    features = calloc_rng.random((64, NUM_APS))
+    labels = calloc_rng.integers(0, NUM_CLASSES, size=64)
+    inputs = Tensor(features, requires_grad=True)
+    logits = model(inputs)
+    CrossEntropyLoss()(logits, labels).backward()
+    checks["calloc_fused_forward"] = _bitwise_equal(model.infer(features), logits.data)
+    checks["calloc_fused_input_gradient"] = _bitwise_equal(
+        model.input_gradient(features, labels), inputs.grad
+    )
     return checks
 
 

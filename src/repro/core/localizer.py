@@ -22,7 +22,6 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import DifferentiableLocalizer
-from ..nn import CrossEntropyLoss, Tensor, no_grad
 from ..registry import register_localizer
 from .adaptive import AdaptiveConfig
 from .curriculum import Curriculum
@@ -101,7 +100,6 @@ class CALLOC(DifferentiableLocalizer):
 
         self.model: Optional[CALLOCModel] = None
         self.training_report: Optional[TrainingReport] = None
-        self._loss = CrossEntropyLoss()
 
     # ------------------------------------------------------------------
     def _build_reference(self, dataset: FingerprintDataset):
@@ -167,34 +165,26 @@ class CALLOC(DifferentiableLocalizer):
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, features: np.ndarray) -> np.ndarray:
+    def _eval_model(self, purpose: str) -> CALLOCModel:
         if self.model is None:
-            raise RuntimeError("CALLOC must be fitted before prediction")
-        self.model.eval()
-        with no_grad():
-            logits = self.model(Tensor(np.asarray(features, dtype=np.float64)))
-        return logits.data.argmax(axis=1)
+            raise RuntimeError(f"CALLOC must be fitted before {purpose}")
+        if self.model.training:
+            self.model.eval()
+        return self.model
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return self._eval_model("prediction").infer(features).argmax(axis=1)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Softmax probabilities over reference-point classes."""
-        if self.model is None:
-            raise RuntimeError("CALLOC must be fitted before prediction")
-        self.model.eval()
-        with no_grad():
-            logits = self.model(Tensor(np.asarray(features, dtype=np.float64)))
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+        logits = self._eval_model("prediction").infer(features)
+        shifted = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         return exps / exps.sum(axis=1, keepdims=True)
 
     def loss_gradient(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        if self.model is None:
-            raise RuntimeError("CALLOC must be fitted before computing gradients")
-        self.model.eval()
-        inputs = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
-        logits = self.model(inputs)
-        loss = self._loss(logits, np.asarray(labels, dtype=np.int64))
-        loss.backward()
-        return inputs.grad.copy()
+        model = self._eval_model("computing gradients")
+        return model.input_gradient(features, labels)
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:

@@ -33,7 +33,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn import Linear, Module, Parameter, ScaledDotProductAttention, Tensor
+from ..nn import Linear, Module, Parameter, ScaledDotProductAttention, Tensor, fastpath
 from .embedding import CurriculumEmbedding, OriginalEmbedding
 
 __all__ = ["CALLOCModel"]
@@ -274,6 +274,42 @@ class CALLOCModel(Module):
         bias = self.kernel_votes(inputs) * self.kernel_mix
         context = self.attention(query, key, value, bias=bias)
         return self.classifier(context)
+
+    def _fused_operands(self) -> fastpath.CALLOCOperands:
+        """Live operands of :meth:`forward` for the fused numpy kernels."""
+        original = self.original_embedding
+        key = fastpath.forward(
+            [original.dropout, original.noise, original.projection, self.key_proj],
+            self._reference_features,
+        )
+        return fastpath.CALLOCOperands(
+            curriculum=self.curriculum_embedding.projection,
+            query=self.query_proj,
+            classifier=self.classifier,
+            key=key,
+            value=self._value_inputs,
+            references=self._reference_features,
+            ap_reliability=self.ap_reliability.data,
+            log_bandwidth=self.log_bandwidth.data,
+            bandwidth_range=self.KERNEL_BANDWIDTH_RANGE,
+            kernel_mix=self.kernel_mix.data,
+            dot_mix=self.dot_mix.data,
+            scale=self.attention.scale,
+        )
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """The logits of :meth:`forward`, bit for bit, without an autograd graph."""
+        return fastpath.calloc_logits(self._fused_operands(), inputs)
+
+    def input_gradient(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Cross-entropy gradient w.r.t. ``inputs``, bit-identical to autograd.
+
+        Unlike ``loss.backward()`` it leaves ``param.grad`` untouched; it
+        raises under ``no_grad`` just as the autograd path would.
+        """
+        return fastpath.calloc_input_gradient(
+            self._fused_operands(), inputs, np.asarray(labels, dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------
     def embedding_reconstruction_loss(self, inputs: Tensor) -> Tensor:

@@ -218,21 +218,17 @@ class CALLOCTrainer:
     # ------------------------------------------------------------------
     def _gradient_view(self):
         """A GradientProvider view of the model for crafting lesson data."""
-        return _ModelGradientView(self.model, self._loss)
+        return _ModelGradientView(self.model)
 
 
 class _ModelGradientView:
     """Adapter exposing the CALLOC model's input gradients to the attacks."""
 
-    def __init__(self, model: CALLOCModel, loss: CrossEntropyLoss) -> None:
+    def __init__(self, model: CALLOCModel) -> None:
         self._model = model
-        self._loss = loss
 
     def loss_gradient(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         self._model.eval()
-        inputs = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
-        logits = self._model(inputs)
-        loss = self._loss(logits, np.asarray(labels, dtype=np.int64))
-        loss.backward()
+        gradient = self._model.input_gradient(features, labels)
         self._model.train()
-        return inputs.grad.copy()
+        return gradient

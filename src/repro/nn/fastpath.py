@@ -1,4 +1,4 @@
-"""Fused forward/backward kernels for plain ``Sequential`` MLP pipelines.
+"""Fused forward/backward kernels for MLP pipelines and the CALLOC model.
 
 The reverse-mode autograd in :mod:`repro.nn.tensor` already executes one
 whole-array numpy operation per graph node, but every node also pays Python
@@ -32,11 +32,29 @@ Stateful details that matter for bit-identity:
   parameter gradients (the autograd path leaves them populated).  Every
   in-repo consumer calls ``zero_grad`` before reading ``param.grad``, and
   skipping the writes halves the matmul count of the attack hot loop.
+
+CALLOC's attention model is not a layer chain, so it has two dedicated
+kernels over :class:`CALLOCOperands` (live ``Linear`` layers plus parameter
+arrays; ``CALLOCModel.infer`` / ``CALLOCModel.input_gradient`` build them):
+
+* :func:`calloc_logits` — the logits of ``CALLOCModel.forward``;
+* :func:`calloc_input_gradient` — the cross-entropy gradient with respect
+  to the input fingerprints, under the :func:`input_gradient_ce` contract:
+  no ``param.grad`` writes, and a ``RuntimeError`` under ``no_grad``.
+
+Both replay the ops of ``CALLOCModel.forward``/``kernel_votes``,
+``ScaledDotProductAttention`` and ``CrossEntropyLoss`` with the same order,
+associativity and operand layouts (the query gradient multiplies by
+``swapaxes(swapaxes(key))`` exactly as the matmul backward does, and the two
+``delta * delta`` contributions are added), so they are bit-identical to the
+autograd graph.  The ``(batch, refs, APs)`` kernel-vote chain runs in place
+in call-local buffers; no state outlives a call, so the kernels are safe
+under the thread executor.  ``tests/core/test_fused_calloc.py`` pins them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +85,9 @@ __all__ = [
     "input_gradient_ce",
     "train_step_ce",
     "train_step_mse",
+    "CALLOCOperands",
+    "calloc_logits",
+    "calloc_input_gradient",
 ]
 
 #: Layers the fused kernels replicate.  Matched by *exact* type: a subclass
@@ -383,3 +404,124 @@ def train_step_mse(chain: List[Module], x: np.ndarray, targets: np.ndarray) -> f
     loss, grad_predictions = mse_loss_and_grad(predictions, targets)
     backward_tape(chain, tape, grad_predictions, accumulate_params=True, need_input_grad=False)
     return loss
+
+
+# ----------------------------------------------------------------------
+# CALLOC attention model (bit-identical to CALLOCModel.forward + CE)
+# ----------------------------------------------------------------------
+class CALLOCOperands(NamedTuple):
+    """What the fused CALLOC kernels read: live layers and parameter arrays.
+
+    ``key`` is the key projection of the reference database, computed by the
+    caller (it does not depend on the query, and in training mode it carries
+    the original embedding's dropout and noise draws).
+    """
+
+    curriculum: Linear
+    query: Linear
+    classifier: Linear
+    key: np.ndarray
+    value: np.ndarray
+    references: np.ndarray
+    ap_reliability: np.ndarray
+    log_bandwidth: np.ndarray
+    bandwidth_range: Tuple[float, float]
+    kernel_mix: np.ndarray
+    dot_mix: np.ndarray
+    scale: Optional[float]
+
+
+def _kernel_terms(ops: CALLOCOperands) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-AP reliability ``(1, 1, A)`` and squared kernel bandwidth ``(1,)``."""
+    low, high = ops.bandwidth_range
+    bandwidth = np.exp(np.clip(ops.log_bandwidth, np.log(low), np.log(high)))
+    reliability = np.log(np.exp(ops.ap_reliability) + 1.0)
+    return reliability.reshape(1, 1, -1), bandwidth * bandwidth
+
+
+def _attention_scale(ops: CALLOCOperands) -> float:
+    return ops.scale if ops.scale is not None else 1.0 / float(np.sqrt(ops.key.shape[-1]))
+
+
+def _delta(ops: CALLOCOperands, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x - references`` broadcast to ``(batch, refs, APs)``, written into ``out``."""
+    batch, num_aps = x.shape
+    return np.subtract(
+        x.reshape(batch, 1, num_aps), ops.references.reshape(1, -1, num_aps), out=out
+    )
+
+
+def _calloc_forward(
+    ops: CALLOCOperands,
+    x: np.ndarray,
+    terms: Tuple[np.ndarray, np.ndarray],
+    kernel: np.ndarray,
+    weighted: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Logits and attention weights; leaves the Gaussian kernel in ``kernel``.
+
+    ``terms`` is :func:`_kernel_terms` of ``ops``.  ``kernel`` and ``weighted``
+    are ``(batch, refs, APs)`` work buffers; they may be the same array when
+    the caller does not need the kernel afterwards.
+    """
+    reliability, bandwidth_sq = terms
+    _delta(ops, x, out=kernel)
+    np.multiply(kernel, kernel, out=kernel)
+    np.multiply(kernel, -0.5, out=kernel)
+    np.divide(kernel, bandwidth_sq, out=kernel)
+    np.exp(kernel, out=kernel)
+    np.multiply(kernel, reliability, out=weighted)
+    bias = (weighted.sum(axis=2) * (1.0 / float(np.sqrt(x.shape[1])))) * ops.kernel_mix
+
+    query = forward([ops.curriculum, ops.query], x) * ops.dot_mix
+    scores = (query @ np.swapaxes(ops.key, -1, -2)) * _attention_scale(ops) + bias
+    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = exps / exps.sum(axis=-1, keepdims=True)
+    return forward([ops.classifier], weights @ ops.value), weights
+
+
+def calloc_logits(ops: CALLOCOperands, x: np.ndarray) -> np.ndarray:
+    """CALLOC classification logits without autograd (prediction hot path)."""
+    x = np.asarray(x, dtype=np.float64)
+    buffer = np.empty((x.shape[0], ops.references.shape[0], x.shape[1]))
+    logits, _ = _calloc_forward(ops, x, _kernel_terms(ops), buffer, buffer)
+    return logits
+
+
+def calloc_input_gradient(ops: CALLOCOperands, x: np.ndarray, labels) -> np.ndarray:
+    """Gradient of the CE loss of CALLOC's logits with respect to ``x``.
+
+    Same contract as :func:`input_gradient_ce`: parameter gradients are not
+    written, and grad mode must be enabled.
+    """
+    _require_grad_mode()
+    x = np.asarray(x, dtype=np.float64)
+    batch, num_aps = x.shape
+    num_refs = ops.references.shape[0]
+    kernel = np.empty((batch, num_refs, num_aps))
+    work = np.empty_like(kernel)
+    reliability, bandwidth_sq = terms = _kernel_terms(ops)
+    logits, weights = _calloc_forward(ops, x, terms, kernel, work)
+
+    grad_logits = ce_input_seed(logits, labels)
+    grad_context = grad_logits @ np.swapaxes(ops.classifier.weight.data, -1, -2)
+    grad_weights = grad_context @ np.swapaxes(ops.value, -1, -2)
+    grad_scores = weights * (grad_weights - (grad_weights * weights).sum(axis=-1, keepdims=True))
+
+    # Query branch: scores = (q @ k^T) * scale, q = query(curriculum(x)) * dot_mix.
+    grad = (grad_scores * _attention_scale(ops)) @ np.swapaxes(np.swapaxes(ops.key, -1, -2), -1, -2)
+    grad = grad * ops.dot_mix
+    for layer in (ops.query, ops.curriculum):
+        grad = grad @ np.swapaxes(layer.weight.data, -1, -2)
+
+    # Kernel-vote branch, in place: the (batch, refs, APs) chain of
+    # Tensor.backward through sum -> *reliability -> exp -> /bw^2 -> *(-0.5)
+    # -> delta*delta (whose two contributions are added) -> delta.
+    grad_votes = (grad_scores * ops.kernel_mix) * (1.0 / float(np.sqrt(num_aps)))
+    np.multiply(grad_votes.reshape(batch, num_refs, 1), reliability, out=work)
+    np.multiply(work, kernel, out=work)
+    np.divide(work, bandwidth_sq, out=work)
+    np.multiply(work, -0.5, out=work)
+    np.multiply(work, _delta(ops, x, out=kernel), out=work)
+    np.add(work, work, out=work)
+    return grad + work.sum(axis=(1,), keepdims=True).reshape(batch, num_aps)

@@ -217,7 +217,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
-            other_t._accumulate(-grad)
+            if other_t.requires_grad:
+                other_t._accumulate(-grad)
 
         return Tensor._make(out_data, (self, other_t), backward)
 
@@ -229,8 +230,10 @@ class Tensor:
         out_data = self.data * other_t.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other_t.data)
-            other_t._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(grad * self.data)
 
         return Tensor._make(out_data, (self, other_t), backward)
 
@@ -241,8 +244,10 @@ class Tensor:
         out_data = self.data / other_t.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_t.data)
-            other_t._accumulate(-grad * self.data / (other_t.data ** 2))
+            if self.requires_grad:
+                self._accumulate(grad / other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(-grad * self.data / (other_t.data ** 2))
 
         return Tensor._make(out_data, (self, other_t), backward)
 
@@ -287,10 +292,10 @@ class Tensor:
                 self._accumulate(np.outer(grad, b))
                 other_t._accumulate(np.swapaxes(a, -1, -2) @ grad)
                 return
-            grad_a = grad @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ grad
-            self._accumulate(_unbroadcast(grad_a, a.shape))
-            other_t._accumulate(_unbroadcast(grad_b, b.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape))
 
         return Tensor._make(out_data, (self, other_t), backward)
 
