@@ -15,7 +15,8 @@ localizing live fingerprints at serving scale:
   eviction and per-endpoint request/latency stats.
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, a throughput-oriented
   executor that coalesces requests from many callers into one batched
-  ``localize`` call (max-batch / max-wait knobs) with bit-identical results.
+  ``localize`` call (max-batch / max-wait knobs); each caller gets its rows'
+  slice of that call's result.
 * :mod:`repro.serve.http` — the ``repro serve`` JSON API
   (``POST /v1/localize``, ``GET /v1/models``, ``/healthz``, ``/metrics``) on
   the stdlib :mod:`http.server`, plus the keep-alive :class:`ServiceClient`.

@@ -10,8 +10,8 @@ could not do at production shape:
   registry (``mirror``/``split``), paired primary-vs-shadow stats and the
   :func:`~repro.serve.aio.routing.canary_ok` promotion gate.
 * :mod:`repro.serve.aio.server` — the keep-alive/pipelining asyncio HTTP
-  server bridging into the synchronous micro-batcher, bit-identical to the
-  stdlib path.
+  server feeding the synchronous micro-batcher straight from the event loop,
+  over the same serving stack as the stdlib path.
 * :mod:`repro.serve.aio.supervisor` — N ``SO_REUSEPORT`` acceptor processes
   over one shared on-disk store, with restart-on-death supervision.
 

@@ -3,18 +3,20 @@
 The stdlib server (:mod:`repro.serve.http`) spends one OS thread per
 connection and one JSON encode/decode per request.  This front end replaces
 the transport while keeping the entire serving stack behind it — gateway,
-pinned hot-promote refs, micro-batcher, guard accounting — byte-identical:
+pinned hot-promote refs, micro-batcher, guard accounting — unchanged:
 
 * one :func:`asyncio.start_server` event loop handles every connection
   (HTTP/1.1 keep-alive; pipelined requests are parsed as they arrive,
   handled concurrently, and answered strictly in request order);
 * request/response bodies are negotiated per request via ``Content-Type``
   (JSON, raw-ndarray, optional msgpack — see :mod:`.protocol`);
-* the synchronous :class:`~repro.serve.batching.MicroBatcher` is bridged with
-  :func:`asyncio.wrap_future` on the ``concurrent.futures.Future`` its
-  ``submit`` returns — the event loop never blocks on inference, and
-  concurrent asyncio requests coalesce into batches exactly like server
-  threads did;
+* requests go to the synchronous
+  :class:`~repro.serve.batching.MicroBatcher` through its
+  ``submit_async``: the event loop never blocks on inference, concurrent
+  asyncio requests coalesce into batches exactly like server threads did,
+  and a flush wakes the loop once for all of its requests.  Only an
+  endpoint's first request hops to the executor (it may load the model);
+  later ones enqueue straight from the loop;
 * shadowed routes (``--route ep=REF,shadow=REF2,fraction=p``) mirror or
   split a deterministic request fraction onto a candidate version and keep
   paired primary-vs-shadow stats for ``GET /metrics`` (see :mod:`.routing`).
@@ -109,7 +111,7 @@ class AsyncServingApp:
 
     Wraps the synchronous :class:`~repro.serve.http.ServingApp` (gateway +
     per-endpoint micro-batchers) rather than reimplementing it, so both front
-    ends serve bit-identical responses from the same machinery.  On top it
+    ends answer from the same machinery.  On top it
     adds what only makes sense with an event loop: shadow mirroring as
     background tasks and the executor bridge for blocking store I/O.
 
@@ -175,22 +177,23 @@ class AsyncServingApp:
     # -- inference ------------------------------------------------------
     async def _score(self, endpoint: str, features: np.ndarray):
         """One batch through the sync stack without blocking the event loop."""
-        loop = asyncio.get_running_loop()
+        if self.app.batching:
+            batcher = self.app.live_batcher(endpoint)
+            if batcher is None:
+                # An endpoint's first request may load the model (store I/O)
+                # or 404: resolve it on the executor, off the loop.
+                batcher = await self._off_loop(self.app.batcher_for, endpoint)
+            return await batcher.submit_async(features)
+        return await self._off_loop(self.app.gateway.localize, endpoint, features)
+
+    def _off_loop(self, fn, *args) -> "asyncio.Future[Any]":
+        """Run a blocking call on the executor, awaitable from the loop."""
         # Executor threads start from an empty contextvars context; running
         # the call inside a copy of *this* task's context keeps the live
         # request span parented through the thread hop.
         context = contextvars.copy_context()
-        if self.app.batching:
-            # First-load store I/O (and the 404 for unknown names) happens on
-            # the executor; the batcher future then bridges straight back.
-            await loop.run_in_executor(
-                self._executor, context.run, self.app.gateway.service_for, endpoint
-            )
-            return await asyncio.wrap_future(
-                self.app.batcher_for(endpoint).submit(features)
-            )
-        return await loop.run_in_executor(
-            self._executor, context.run, self.app.gateway.localize, endpoint, features
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, context.run, fn, *args
         )
 
     async def localize_document_async(
@@ -361,7 +364,9 @@ class AioServer:
         conn = self.app.app.connection_metrics("aio")
         conn.connection_opened()
         requests_on_connection = 0
-        queue: "asyncio.Queue[Optional[Future]]" = asyncio.Queue(maxsize=64)
+        queue: "asyncio.Queue[Union[bytes, asyncio.Task, None]]" = asyncio.Queue(
+            maxsize=64
+        )
         drain = asyncio.get_running_loop().create_task(self._write_loop(queue, writer))
         # Server shutdown cancels open keep-alive handlers; swallow that
         # cancellation and exit normally so teardown stays quiet (asyncio's
@@ -372,9 +377,7 @@ class AioServer:
                 try:
                     request = await _read_request(reader)
                 except _HttpError as error:
-                    await queue.put(
-                        _completed(_error_response(error.status, str(error), False))
-                    )
+                    await queue.put(_error_response(error.status, str(error), False))
                     break
                 if request is None:
                     break
@@ -403,7 +406,9 @@ class AioServer:
                 pass
 
     async def _write_loop(
-        self, queue: "asyncio.Queue[Optional[Future]]", writer: asyncio.StreamWriter
+        self,
+        queue: "asyncio.Queue[Union[bytes, asyncio.Task, None]]",
+        writer: asyncio.StreamWriter,
     ) -> None:
         # Keep consuming the queue even after the client disconnects: the
         # reader side blocks on `queue.put` for backpressure, so a writer
@@ -414,7 +419,7 @@ class AioServer:
             item = await queue.get()
             if item is None:
                 return
-            data = await asyncio.wrap_future(item) if isinstance(item, Future) else await item
+            data = item if isinstance(item, bytes) else await item
             if client_gone:
                 continue
             try:
@@ -580,12 +585,6 @@ def _response(status: int, body: bytes, content_type: str, keep_alive: bool) -> 
 def _error_response(status: int, message: str, keep_alive: bool) -> bytes:
     body = json.dumps({"error": message}).encode("utf-8")
     return _response(status, body, protocol.CONTENT_JSON, keep_alive)
-
-
-def _completed(data: bytes) -> Future:
-    future: Future = Future()
-    future.set_result(data)
-    return future
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,16 @@ a background flusher drains them as *one* batched call whenever
   arrivals queue up and become the next batch, so the batch size adapts to
   the arrival rate instead of to an artificial timer).
 
-Results are split back per request, so batching is invisible to callers —
-``batcher.localize(x)`` is bit-identical to ``localize_fn(x)``: the batched
-prediction path is row-wise deterministic, and rows are concatenated and
-split in strict arrival order.
+Rows are concatenated and split back in strict arrival order, so each
+caller gets exactly its rows' slice of ``batch_fn`` applied to the batch the
+flusher formed.  That equals ``localize_fn(x)`` bit for bit only for
+row-independent models such as KNN; for CALLOC the last bits of
+``error_estimate`` depend on the batch size and on the row's position in it.
+
+Callers on an event loop use :meth:`MicroBatcher.submit_async`: its asyncio
+future is resolved on the caller's loop, and a flush wakes each loop once
+for all of its requests in the batch (one ``call_soon_threadsafe``), not
+once per request.
 
 The batcher is generic over the flush target: pass
 ``service.localize`` for a single model or
@@ -33,7 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +47,8 @@ from ..obs import trace
 from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
+
     from ..api import LocalizationResult
     from ..obs.trace import Span
 
@@ -53,11 +61,18 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 @dataclass
 class _Pending:
     features: np.ndarray
-    future: Future
+    #: A ``concurrent.futures.Future``, or an ``asyncio.Future`` of ``loop``.
+    future: "Future | asyncio.Future"
     enqueued: float
     #: Span live in the submitting thread, re-attached by the flusher so the
     #: batched flush nests under the request that opened the batch.
     trace_parent: "Optional[Span]" = None
+    #: The event loop that owns ``future`` (``None`` for sync callers).
+    loop: Optional[asyncio.AbstractEventLoop] = None
+
+
+#: A request's outcome: its result slice, or the error it raised.
+_Outcome = Tuple[Optional["LocalizationResult"], Optional[BaseException]]
 
 
 class BatchStats:
@@ -177,7 +192,9 @@ class MicroBatcher:
             "repro_batch_queue_depth",
             "Fingerprints currently queued for flushing", ("endpoint",),
         ).labels(endpoint=self.stats.endpoint)
-        self._queue: List[_Pending] = []
+        self._queue: "deque[_Pending]" = deque()
+        #: Fingerprints currently queued (a running count, kept under _lock).
+        self._queued_rows = 0
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
@@ -189,34 +206,56 @@ class MicroBatcher:
     # -- client side ----------------------------------------------------
     def submit(self, features: Sequence) -> "Future[LocalizationResult]":
         """Enqueue one request; the future resolves to its own result slice."""
+        future: Future = Future()
+        self._enqueue(features, future, None)
+        return future
+
+    def submit_async(self, features: Sequence) -> "asyncio.Future[LocalizationResult]":
+        """:meth:`submit` for a coroutine: await the returned future.
+
+        Must be called on a running event loop; the future belongs to that
+        loop and is resolved on it.  Cancelling it (a client that went away)
+        only drops this request's answer.
+        """
+        # Imported here, not at module level: batch-only processes import
+        # this module without ever loading asyncio.
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._enqueue(features, future, loop)
+        return future
+
+    def _enqueue(
+        self,
+        features: Sequence,
+        future: "Future | asyncio.Future",
+        loop: Optional[asyncio.AbstractEventLoop],
+    ) -> None:
         array = np.asarray(features, dtype=np.float64)
         if array.ndim == 1:
             array = array[None, :]
-        future: Future = Future()
         with self._lock:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
             self._queue.append(
-                _Pending(array, future, time.perf_counter(), trace.current())
+                _Pending(array, future, time.perf_counter(), trace.current(), loop)
             )
+            self._queued_rows += array.shape[0]
             self.stats.record_request()
-            self._queue_depth.set(self._queued_rows())
+            self._queue_depth.set(self._queued_rows)
             # Wake the flusher only on transitions it cares about (queue was
             # empty, or the batch just filled); intermediate arrivals are
             # picked up by its poll loop.  Under heavy concurrency this
             # avoids one context switch per request.
-            if len(self._queue) == 1 or self._queued_rows() >= self.max_batch:
+            if len(self._queue) == 1 or self._queued_rows >= self.max_batch:
                 self._wakeup.notify()
-        return future
 
     def localize(self, features: Sequence) -> "LocalizationResult":
         """Blocking convenience around :meth:`submit`."""
         return self.submit(features).result()
 
     # -- flusher --------------------------------------------------------
-    def _queued_rows(self) -> int:
-        return sum(item.features.shape[0] for item in self._queue)
-
     def _run(self) -> None:
         while True:
             with self._lock:
@@ -230,21 +269,22 @@ class MicroBatcher:
                 # immediately instead of idling out the deadline.
                 deadline = self._queue[0].enqueued + self.max_wait_s
                 while (
-                    self._queued_rows() < self.max_batch
+                    self._queued_rows < self.max_batch
                     and not self._closed
                     and (remaining := deadline - time.perf_counter()) > 0
                 ):
-                    rows_before = self._queued_rows()
+                    rows_before = self._queued_rows
                     self._wakeup.wait(timeout=min(remaining, self._poll_s))
-                    if self._queued_rows() == rows_before:
+                    if self._queued_rows == rows_before:
                         break
                 batch: List[_Pending] = []
                 rows = 0
                 while self._queue and (not batch or rows < self.max_batch):
-                    item = self._queue.pop(0)
+                    item = self._queue.popleft()
                     batch.append(item)
                     rows += item.features.shape[0]
-                self._queue_depth.set(self._queued_rows())
+                self._queued_rows -= rows
+                self._queue_depth.set(self._queued_rows)
             # The flusher thread has no ambient trace context of its own;
             # re-enter the context of the request that opened the batch so
             # the flush span nests under it.
@@ -266,31 +306,26 @@ class MicroBatcher:
             # neither kill the flusher thread nor fail its batch-mates:
             # degrade to per-request calls so each caller gets its own
             # result or its own error.
-            self._flush_individually(batch)
-            return
-        self.stats.record_batch(features.shape[0])
-        start = 0
-        for item in batch:
-            stop = start + item.features.shape[0]
-            # A caller may have cancelled its future (e.g. after a result()
-            # timeout); set_result would then raise InvalidStateError and
-            # kill the flusher.  set_running_or_notify_cancel returns False
-            # exactly for cancelled futures — skip those.
-            if item.future.set_running_or_notify_cancel():
-                item.future.set_result(_slice_result(result, start, stop))
-            start = stop
+            outcomes = [self._localize_one(item) for item in batch]
+        else:
+            self.stats.record_batch(features.shape[0])
+            outcomes = []
+            start = 0
+            for item in batch:
+                stop = start + item.features.shape[0]
+                outcomes.append((_slice_result(result, start, stop), None))
+                start = stop
+        _settle(batch, outcomes)
 
-    def _flush_individually(self, batch: List[_Pending]) -> None:
-        for item in batch:
-            if not item.future.set_running_or_notify_cancel():
-                continue  # caller cancelled while queued
-            try:
-                result = self.localize_fn(item.features)
-            except Exception as error:
-                item.future.set_exception(error)
-            else:
-                self.stats.record_batch(item.features.shape[0])
-                item.future.set_result(result)
+    def _localize_one(self, item: _Pending) -> _Outcome:
+        if item.future.cancelled():
+            return None, None  # caller cancelled while queued; never delivered
+        try:
+            result = self.localize_fn(item.features)
+        except Exception as error:
+            return None, error
+        self.stats.record_batch(item.features.shape[0])
+        return result, None
 
     # -- lifecycle ------------------------------------------------------
     def close(self, timeout: Optional[float] = 5.0) -> None:
@@ -305,6 +340,44 @@ class MicroBatcher:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _settle(batch: List[_Pending], outcomes: List[_Outcome]) -> None:
+    """Hand every request of a flushed batch its outcome.
+
+    Sync futures are resolved right here.  Loop-bound futures are grouped by
+    loop and resolved *on* it, with one ``call_soon_threadsafe`` per loop
+    and batch.  A caller may have cancelled its future (e.g. after a
+    ``result()`` timeout, or a client disconnect); delivering into it would
+    raise ``InvalidStateError`` and kill the flusher, so cancelled futures
+    are skipped.
+    """
+    by_loop: Dict[asyncio.AbstractEventLoop, List[Tuple[asyncio.Future, _Outcome]]] = {}
+    for item, outcome in zip(batch, outcomes):
+        if item.loop is not None:
+            by_loop.setdefault(item.loop, []).append((item.future, outcome))
+        elif item.future.set_running_or_notify_cancel():
+            _resolve(item.future, outcome)
+    for loop, deliveries in by_loop.items():
+        try:
+            loop.call_soon_threadsafe(_deliver, deliveries)
+        except RuntimeError:
+            pass  # the loop closed mid-flush (shutdown): nobody awaits these
+
+
+def _deliver(deliveries: List[Tuple[asyncio.Future, _Outcome]]) -> None:
+    """Resolve one loop's share of a flush (runs on that loop)."""
+    for future, outcome in deliveries:
+        if not future.done():  # done here means cancelled by its caller
+            _resolve(future, outcome)
+
+
+def _resolve(future: "Future | asyncio.Future", outcome: _Outcome) -> None:
+    result, error = outcome
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 def _slice_result(result: "LocalizationResult", start: int, stop: int):

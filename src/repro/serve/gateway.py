@@ -9,7 +9,7 @@ of buildings × models holds only the hot ones in memory), and every endpoint
 accumulates request counters and latency statistics for ``GET /metrics``.
 
 Routing never changes predictions: ``gateway.localize(endpoint, batch)`` is
-bit-identical to ``store.resolve(ref).localize(batch)``.
+bit-identical to ``store.resolve(ref).localize(batch)`` on the same batch.
 
 Mutable references (``"calloc"``, ``"calloc@prod"``, ``"calloc@latest"``) are
 **pinned** to the immutable version they currently select (``"calloc@v2"``)
@@ -202,9 +202,11 @@ class Gateway:
     watch_interval_s:
         How long a validated pin of a *mutable* ref (tag/``latest``) is
         trusted before the manifest signature is re-checked.  ``0`` (the
-        default) re-checks on every request — one ``stat`` call, cheap next
-        to inference — so promotes take effect immediately; raise it to
-        bound the poll rate on very hot endpoints.
+        default) re-checks on every :meth:`localize` call — one ``stat``
+        call, cheap next to inference — so promotes take effect
+        immediately.  Behind a micro-batcher that is once per flushed batch,
+        not once per request.  Raise it to bound the poll rate on very hot
+        endpoints.
     stats_window:
         Per-endpoint latency sample window (bounds /metrics memory).
     registry:
@@ -381,7 +383,10 @@ class Gateway:
     def localize(
         self, endpoint: str, batch, suppress_error_stats: bool = False
     ) -> "LocalizationResult":
-        """Route one localize request; bit-identical to the direct service call.
+        """Route one localize call; bit-identical to the direct service call.
+
+        The pin of a mutable ref is re-checked on every call; under
+        micro-batching that is once per flushed batch, not per request.
 
         Services carrying an inference guard (published from defended
         training, see :mod:`repro.defenses`) are screened inside

@@ -6,8 +6,10 @@ Endpoints
     Body ``{"model": "<endpoint or store ref>", "fingerprints": [[...], ...]}``
     (a single flat fingerprint list is promoted to a batch of one; pass
     ``"probabilities": true`` to include class probabilities).  Responds with
-    labels, coordinates, and per-query error estimates — bit-identical to a
-    direct :meth:`LocalizationService.localize` call on the same arrays.
+    labels, coordinates, and per-query error estimates.  Unbatched, they are
+    bit-identical to a direct :meth:`LocalizationService.localize` call on
+    the same arrays; micro-batched, to that request's slice of a direct call
+    on the batch it was flushed in (see :mod:`repro.serve.batching`).
 ``GET /v1/models``
     The machine-readable model catalog: the store's published models (same
     entry shape as ``repro list-models --json``) plus the gateway's routes.
@@ -200,7 +202,25 @@ class ServingApp:
         return "_invalid"
 
     # -- request paths --------------------------------------------------
+    def live_batcher(self, endpoint: str) -> Optional[MicroBatcher]:
+        """The endpoint's batcher if one exists; never does store I/O."""
+        with self._lock:
+            return self._batchers.get(endpoint)
+
     def batcher_for(self, endpoint: str) -> MicroBatcher:
+        """The endpoint's batcher, created on its first request.
+
+        Creating one resolves the endpoint first (which may load the model
+        from the store): each batcher owns a flusher thread, so unknown
+        names must raise :class:`StoreError` (404), not leave one orphaned
+        batcher per bogus name.  Later requests skip the resolution; the
+        gateway re-pins the ref on every flush, so promotes still apply at
+        once.
+        """
+        batcher = self.live_batcher(endpoint)
+        if batcher is not None:
+            return batcher
+        self.gateway.service_for(endpoint)
         with self._lock:
             batcher = self._batchers.get(endpoint)
             if batcher is None:
@@ -223,10 +243,6 @@ class ServingApp:
     def localize(self, endpoint: str, features: Sequence) -> "LocalizationResult":
         """One request through the configured path (micro-batched or direct)."""
         if self.batching:
-            # Resolve the endpoint *before* creating a batcher (each batcher
-            # owns a flusher thread): unknown model names must 404, not
-            # accumulate one orphaned batcher per bogus name.
-            self.gateway.service_for(endpoint)
             return self.batcher_for(endpoint).localize(features)
         return self.gateway.localize(endpoint, features)
 
@@ -678,7 +694,7 @@ class ServiceClient:
         model: str,
         probabilities: bool = False,
     ) -> "LocalizationResult":
-        """Localize a batch through the HTTP API; bit-identical to direct calls."""
+        """Localize a batch through the HTTP API (same arrays as the server's)."""
         from ..api import LocalizationResult
 
         document = self.localize_document(fingerprints, model, probabilities)

@@ -190,6 +190,78 @@ class TestIntrospection:
         assert metrics["shadow"] == {}
 
 
+def _flusher_threads() -> int:
+    return sum(thread.name == "repro-microbatcher" for thread in threading.enumerate())
+
+
+class TestEndpointResolution:
+    """Only an endpoint's first request resolves it, and off the event loop."""
+
+    def test_unknown_model_creates_no_batcher(self, aio_server, client, tiny_campaign):
+        features = tiny_campaign.test_for("S7").features
+        before = _flusher_threads()
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="404"):
+                client.localize(features, model="ghost@prod")
+        assert _flusher_threads() == before
+        assert aio_server.app.app.live_batcher("ghost@prod") is None
+        assert client.metrics()["batching"]["endpoints"] == {}
+
+    def test_first_request_loads_on_the_executor(
+        self, published_store, tiny_campaign, monkeypatch
+    ):
+        features = tiny_campaign.test_for("S7").features
+        direct = published_store.resolve("knn@prod").localize(features)
+        entered, release = threading.Event(), threading.Event()
+        loaders = []
+        original = published_store.resolve
+
+        def slow_resolve(ref):
+            loaders.append(threading.current_thread().name)
+            entered.set()
+            assert release.wait(10)
+            return original(ref)
+
+        monkeypatch.setattr(published_store, "resolve", slow_resolve)
+        outcome = {}
+        with AioServerThread(published_store, max_batch=8, max_wait_ms=2.0) as server:
+
+            def first_request() -> None:
+                with ServiceClient(server.base_url) as first:
+                    outcome["result"] = first.localize(features, model="knn@prod")
+
+            worker = threading.Thread(target=first_request)
+            worker.start()
+            try:
+                assert entered.wait(10)
+                # The loop is free while the model loads.
+                with ServiceClient(server.base_url, timeout=5) as probe:
+                    assert probe.health()["status"] == "ok"
+            finally:
+                release.set()
+                worker.join(timeout=10)
+        assert not worker.is_alive()
+        np.testing.assert_array_equal(outcome["result"].labels, direct.labels)
+        assert len(loaders) == 1
+        assert loaders[0] != "repro-aio-server"  # not the event-loop thread
+
+    def test_warm_endpoint_skips_resolution(self, aio_server, client, tiny_campaign):
+        features = tiny_campaign.test_for("S7").features
+        client.localize(features, model="knn@prod")
+        gateway = aio_server.app.gateway
+        calls = []
+        original = gateway.service_for
+
+        def counting(endpoint):
+            calls.append(endpoint)
+            return original(endpoint)
+
+        gateway.service_for = counting
+        for row in features[:5]:
+            client.localize(row[None, :], model="knn@prod")
+        assert calls == []
+
+
 class TestShadowRouting:
     def test_mirror_route_populates_shadow_metrics(self, published_store, tiny_campaign):
         routes = {"b1/knn": "knn@prod,shadow=knn@v1,fraction=1.0"}

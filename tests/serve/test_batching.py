@@ -2,19 +2,56 @@
 
 from __future__ import annotations
 
+import asyncio
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import LocalizationService
+from repro.api import LocalizationResult, LocalizationService
 from repro.serve import MicroBatcher
 
 
 @pytest.fixture()
 def service(tiny_campaign) -> LocalizationService:
     return LocalizationService("KNN", params={"k": 3}).fit(tiny_campaign.train)
+
+
+@pytest.fixture(scope="module")
+def calloc_service(tiny_campaign) -> LocalizationService:
+    params = {
+        "embed_dim": 16,
+        "attention_dim": 8,
+        "num_lessons": 2,
+        "epochs_per_lesson": 2,
+        "seed": 0,
+    }
+    return LocalizationService("CALLOC", params=params).fit(tiny_campaign.train)
+
+
+def _assert_results_equal(actual, expected) -> None:
+    """Bitwise equality of two results (NaN error estimates compare equal)."""
+    for field in ("labels", "coordinates", "error_estimate", "probabilities"):
+        a, b = getattr(actual, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class _Gate:
+    """A flush target that blocks until released, so tests can line up the
+    next batch behind a flush in progress."""
+
+    def __init__(self, localize) -> None:
+        self.localize = localize
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, features):
+        self.entered.set()
+        assert self.release.wait(10)
+        return self.localize(features)
 
 
 class TestBitIdentity:
@@ -66,6 +103,48 @@ class TestBitIdentity:
         for index, result in enumerate(results):
             assert result is not None
             assert result.labels[0] == direct.labels[index]
+
+    def test_calloc_answers_equal_their_flushed_batch_slice(
+        self, calloc_service, tiny_campaign
+    ):
+        """The invariant for row-dependent models: each answer is bitwise the
+        request's slice of a direct ``localize`` on the batch the flusher
+        formed (CALLOC's ``error_estimate`` bits depend on batch size and
+        row position, so single-row identity does not hold)."""
+        features = np.concatenate(
+            [tiny_campaign.test_for(device).features for device in ("S7", "BLU")]
+        )[:15]
+        flushed = []
+
+        def recording(batch):
+            flushed.append(batch.copy())
+            return calloc_service.localize(batch)
+
+        # The gate holds the first flush until every later request is
+        # queued, so the rest flush in full batches of up to five rows.
+        gate = _Gate(recording)
+        with MicroBatcher(
+            calloc_service.localize, max_batch=5, max_wait_ms=50.0, batch_fn=gate
+        ) as batcher:
+            first = batcher.submit(features[0])
+            assert gate.entered.wait(10)
+            futures = [first] + [batcher.submit(row) for row in features[1:]]
+            gate.release.set()
+            results = [future.result(timeout=30) for future in futures]
+        assert [batch.shape[0] for batch in flushed] == [1, 5, 5, 4]
+        np.testing.assert_array_equal(np.concatenate(flushed), features)
+        position = 0
+        for batch in flushed:
+            direct = calloc_service.localize(batch)
+            for row in range(batch.shape[0]):
+                expected = LocalizationResult(
+                    labels=direct.labels[row : row + 1],
+                    coordinates=direct.coordinates[row : row + 1],
+                    error_estimate=direct.error_estimate[row : row + 1],
+                    probabilities=direct.probabilities[row : row + 1],
+                )
+                _assert_results_equal(results[position], expected)
+                position += 1
 
 
 class TestFlushPolicy:
@@ -180,3 +259,154 @@ class TestLifecycleAndErrors:
             MicroBatcher(service.localize, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(service.localize, max_wait_ms=-1.0)
+
+
+class TestLoopWaiters:
+    """``submit_async``: asyncio futures resolved on their own event loop."""
+
+    def test_async_answers_match_sync_ones(self, service, tiny_campaign):
+        test = tiny_campaign.test_for("S7")
+        direct = service.localize(test.features)
+
+        async def main(batcher):
+            futures = [batcher.submit_async(row) for row in test.features]
+            return await asyncio.wait_for(asyncio.gather(*futures), 10)
+
+        with MicroBatcher(service.localize, max_batch=4, max_wait_ms=2.0) as batcher:
+            results = asyncio.run(main(batcher))
+        np.testing.assert_array_equal(
+            np.concatenate([r.labels for r in results]), direct.labels
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([r.error_estimate for r in results]), direct.error_estimate
+        )
+
+    def test_one_loop_wakeup_per_flush(self, service, tiny_campaign):
+        test = tiny_campaign.test_for("S7")
+        requests = min(16, test.features.shape[0])
+        wakeups = []
+
+        async def main(batcher):
+            loop = asyncio.get_running_loop()
+            original = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                wakeups.append(callback)
+                return original(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                futures = [batcher.submit_async(row) for row in test.features[:requests]]
+                return await asyncio.wait_for(asyncio.gather(*futures), 10)
+            finally:
+                del loop.call_soon_threadsafe
+
+        with MicroBatcher(service.localize, max_batch=8, max_wait_ms=50.0) as batcher:
+            results = asyncio.run(main(batcher))
+            batches = batcher.stats.batches
+        assert len(results) == requests
+        assert batches < requests  # requests did share flushes
+        assert len(wakeups) == batches
+
+    def test_cancelled_waiter_neither_kills_flusher_nor_fails_batchmates(
+        self, service, tiny_campaign
+    ):
+        """A client that disconnects cancels its waiter while the batch is
+        queued or computing; its batch-mates and the flusher carry on."""
+        test = tiny_campaign.test_for("S7")
+        gate = _Gate(service.localize)
+
+        async def main(batcher):
+            blocker = batcher.submit_async(test.features[0])
+            while not gate.entered.is_set():
+                await asyncio.sleep(0.001)
+            doomed = batcher.submit_async(test.features[1])
+            survivor = batcher.submit_async(test.features[2])
+            doomed.cancel()
+            gate.release.set()
+            first, second = await asyncio.wait_for(asyncio.gather(blocker, survivor), 10)
+            return doomed, first, second
+
+        with MicroBatcher(
+            service.localize, max_batch=8, max_wait_ms=1.0, batch_fn=gate
+        ) as batcher:
+            doomed, first, second = asyncio.run(main(batcher))
+            assert doomed.cancelled()
+            assert first.labels.shape == (1,) and second.labels.shape == (1,)
+            # A sync caller of the same batcher is still answered.
+            later = batcher.submit(test.features[3]).result(timeout=10)
+            assert later.labels.shape == (1,)
+            assert batcher._flusher.is_alive()
+
+    def test_closed_loop_neither_kills_flusher_nor_fails_batchmates(
+        self, service, tiny_campaign
+    ):
+        """Shutdown mid-flush: the waiter's event loop closes before its
+        batch is answered.  The flusher survives and a sync batch-mate in
+        the same flush still gets its result."""
+        test = tiny_campaign.test_for("S7")
+        gate = _Gate(service.localize)
+        with MicroBatcher(
+            service.localize, max_batch=8, max_wait_ms=1.0, batch_fn=gate
+        ) as batcher:
+            blocker = batcher.submit(test.features[0])
+            assert gate.entered.wait(10)
+
+            async def enqueue():
+                return batcher.submit_async(test.features[1])
+
+            loop = asyncio.new_event_loop()
+            orphan = loop.run_until_complete(enqueue())
+            batchmate = batcher.submit(test.features[2])
+            loop.close()
+            gate.release.set()
+            assert blocker.result(timeout=10).labels.shape == (1,)
+            assert batchmate.result(timeout=10).labels.shape == (1,)
+            later = batcher.submit(test.features[3]).result(timeout=10)
+            assert later.labels.shape == (1,)
+            assert batcher._flusher.is_alive()
+            assert not orphan.done()
+            assert batcher.stats.requests == 4
+
+    def test_sync_and_loop_callers_under_thread_churn(self, service, tiny_campaign):
+        """Stress: threads and an event loop submit at once with a tiny switch
+        interval.  A lost update to the running row count would leave it
+        above zero once every caller is answered, or misroute an answer."""
+        features = tiny_campaign.test_for("S7").features
+        direct = service.localize(features).labels
+        rounds = 40
+        answers = {"sync": [], "loop": []}
+
+        def sync_caller() -> None:
+            for step in range(rounds):
+                index = step % len(features)
+                result = batcher.submit(features[index]).result(timeout=10)
+                answers["sync"].append(result.labels[0] == direct[index])
+
+        async def loop_caller() -> None:
+            for step in range(0, rounds, 4):
+                indices = [(step + k) % len(features) for k in range(4)]
+                futures = [batcher.submit_async(features[i]) for i in indices]
+                results = await asyncio.wait_for(asyncio.gather(*futures), 10)
+                for index, result in zip(indices, results):
+                    answers["loop"].append(result.labels[0] == direct[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatcher(service.localize, max_batch=4, max_wait_ms=1.0) as batcher:
+                threads = [threading.Thread(target=sync_caller) for _ in range(4)]
+                threads.append(threading.Thread(target=asyncio.run, args=(loop_caller(),)))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                queued = batcher._queued_rows
+                stats = batcher.stats.as_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers["sync"]) == 4 * rounds and all(answers["sync"])
+        assert len(answers["loop"]) == rounds and all(answers["loop"])
+        assert queued == 0
+        assert stats["requests"] == stats["fingerprints"] == 5 * rounds
