@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Canary a new model version behind a live endpoint, then hot-promote it.
 
-This example walks the zero-downtime deployment loop of the asyncio serving
+This example walks the zero-downtime deployment loop of the serving
 tier (``repro.serve.aio``):
 
 1. publish ``knn`` v1 to a versioned :class:`~repro.serve.ModelStore` and
    point the ``prod`` tag at it;
-2. start the asyncio front end with a **shadow route**: every request to
+2. start the server with a **shadow route**: every request to
    ``building-1/knn`` is served by ``knn@prod`` while a deterministic
    fraction is also mirrored onto the candidate ``knn@v2`` (seeded hash of
    the fingerprint bytes — no RNG, reproducible across workers);
@@ -21,7 +21,7 @@ tier (``repro.serve.aio``):
 
 The same flow runs from the CLI against a standalone server::
 
-    repro serve --aio --route "building-1/knn=knn@prod,shadow=knn@v2,fraction=0.2"
+    repro serve --route "building-1/knn=knn@prod,shadow=knn@v2,fraction=0.2"
     repro store promote knn@v2 prod --if-canary-ok \\
         --metrics-url http://127.0.0.1:8080 --min-requests 50
 

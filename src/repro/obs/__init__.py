@@ -18,7 +18,7 @@ The observability substrate the serving/engine/queue layers report into
     final line is skipped), and a ``tail(follow=True)`` reader.
 :mod:`repro.obs.prom`
     Prometheus text exposition (``text/plain; version=0.0.4``) for
-    ``GET /metrics?format=prometheus`` on both HTTP front ends.
+    ``GET /metrics?format=prometheus`` on the HTTP server.
 
 Everything is opt-out: set ``REPRO_TELEMETRY=0`` (or pass
 ``--no-telemetry`` to the CLI) and spans/events collapse to no-ops.

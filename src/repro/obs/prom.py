@@ -2,9 +2,9 @@
 
 Renders the metrics of one or more :class:`~repro.obs.metrics.MetricsRegistry`
 instances as the plain-text scrape format every Prometheus-compatible
-collector understands, served from ``GET /metrics?format=prometheus`` on
-both HTTP front ends (content-negotiated alongside the existing JSON
-document, which stays the default).
+collector understands, served from ``GET /metrics?format=prometheus`` by
+the HTTP server (content-negotiated alongside the existing JSON document,
+which stays the default).
 
 Scrape it like any other target::
 

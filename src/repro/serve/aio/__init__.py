@@ -1,7 +1,7 @@
 """Asyncio serving tier: event-loop front end, worker fleet, canary routing.
 
-The operable half of :mod:`repro.serve` — everything the stdlib demo server
-could not do at production shape:
+The HTTP half of :mod:`repro.serve`, in front of the synchronous
+:class:`~repro.serve.http.ServingApp`:
 
 * :mod:`repro.serve.aio.protocol` — wire codecs (JSON / raw-ndarray /
   optional msgpack) and the shared localize request/response semantics.
@@ -10,8 +10,8 @@ could not do at production shape:
   registry (``mirror``/``split``), paired primary-vs-shadow stats and the
   :func:`~repro.serve.aio.routing.canary_ok` promotion gate.
 * :mod:`repro.serve.aio.server` — the keep-alive/pipelining asyncio HTTP
-  server feeding the synchronous micro-batcher straight from the event loop,
-  over the same serving stack as the stdlib path.
+  server feeding the synchronous micro-batcher straight from the event loop;
+  ``repro serve`` runs it.
 * :mod:`repro.serve.aio.supervisor` — N ``SO_REUSEPORT`` acceptor processes
   over one shared on-disk store, with restart-on-death supervision.
 

@@ -1,9 +1,8 @@
-"""asyncio front end: keep-alive, pipelining, binary bodies, shadow routing.
+"""The HTTP server: keep-alive, pipelining, binary bodies, shadow routing.
 
-The stdlib server (:mod:`repro.serve.http`) spends one OS thread per
-connection and one JSON encode/decode per request.  This front end replaces
-the transport while keeping the entire serving stack behind it — gateway,
-pinned hot-promote refs, micro-batcher, guard accounting — unchanged:
+This is the one server behind ``repro serve``.  It is only a transport: the
+serving stack behind it — gateway, pinned hot-promote refs, micro-batcher,
+guard accounting — is the synchronous :class:`~repro.serve.http.ServingApp`:
 
 * one :func:`asyncio.start_server` event loop handles every connection
   (HTTP/1.1 keep-alive; pipelined requests are parsed as they arrive,
@@ -13,17 +12,17 @@ pinned hot-promote refs, micro-batcher, guard accounting — unchanged:
 * requests go to the synchronous
   :class:`~repro.serve.batching.MicroBatcher` through its
   ``submit_async``: the event loop never blocks on inference, concurrent
-  asyncio requests coalesce into batches exactly like server threads did,
-  and a flush wakes the loop once for all of its requests.  Only an
-  endpoint's first request hops to the executor (it may load the model);
-  later ones enqueue straight from the loop;
+  asyncio requests coalesce into batches, and a flush wakes the loop once
+  for all of its requests.  Only an endpoint's first request hops to the
+  executor (it may load the model); later ones enqueue straight from the
+  loop;
 * shadowed routes (``--route ep=REF,shadow=REF2,fraction=p``) mirror or
   split a deterministic request fraction onto a candidate version and keep
   paired primary-vs-shadow stats for ``GET /metrics`` (see :mod:`.routing`).
 
 :class:`AioServerThread` runs the whole thing on a background thread for
 tests and benchmarks; :func:`serve_aio` is the blocking single-process entry
-point behind ``repro serve --aio`` (multi-process is
+point behind ``repro serve`` (multi-process is
 :mod:`repro.serve.aio.supervisor`).
 """
 
@@ -32,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+import re
 import threading
 import time
 import urllib.parse
@@ -55,10 +55,13 @@ from .routing import (
 
 __all__ = ["AsyncServingApp", "AioServer", "AioServerThread", "serve_aio"]
 
-#: Max accepted request body (64 MiB), matching the stdlib handler.
+#: Max accepted request body (64 MiB) — a campaign-sized batch fits easily.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Stream buffer limit — request heads (line + headers) must fit in this.
 MAX_HEADER_BYTES = 64 * 1024
+#: A valid Content-Length: ASCII digits only (``int()`` would also take
+#: ``"+5"`` or ``"1_0"``), short enough that ``int()`` never refuses it.
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 
 _REASONS = {
     200: "OK",
@@ -70,6 +73,7 @@ _REASONS = {
     415: "Unsupported Media Type",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -110,8 +114,7 @@ class AsyncServingApp:
     """The asyncio serving application: sync stack behind, coroutines in front.
 
     Wraps the synchronous :class:`~repro.serve.http.ServingApp` (gateway +
-    per-endpoint micro-batchers) rather than reimplementing it, so both front
-    ends answer from the same machinery.  On top it
+    per-endpoint micro-batchers) rather than reimplementing it.  On top it
     adds what only makes sense with an event loop: shadow mirroring as
     background tasks and the executor bridge for blocking store I/O.
 
@@ -199,7 +202,7 @@ class AsyncServingApp:
     async def localize_document_async(
         self, payload: Mapping[str, Any]
     ) -> Dict[str, Any]:
-        """Async twin of :meth:`ServingApp.localize_document`, plus routing."""
+        """Handle a parsed ``POST /v1/localize`` body, with shadow routing."""
         endpoint, features, probabilities = protocol.parse_localize_payload(payload)
         spec = self.route_specs.get(endpoint)
         stats = self.shadow_stats.get(endpoint)
@@ -546,19 +549,30 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
         raise _HttpError(400, f"malformed request line {lines[0]!r}")
     method, target, version = parts
     headers: Dict[str, str] = {}
+    lengths: Set[str] = set()
     for line in lines[1:]:
         if not line:
             continue
         key, separator, value = line.partition(":")
         if not separator:
             raise _HttpError(400, f"malformed header line {line!r}")
-        headers[key.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise _HttpError(400, "invalid Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise _HttpError(413, "invalid or oversized request body")
+        key, value = key.strip().lower(), value.strip()
+        headers[key] = value
+        if key == "content-length":
+            lengths.add(value)
+    # Bodies are framed by Content-Length alone.  A request this parser
+    # cannot frame exactly must end the connection: guessing its extent
+    # would read body bytes as the next request.
+    if "transfer-encoding" in headers:
+        raise _HttpError(501, "Transfer-Encoding is not supported; send Content-Length")
+    if len(lengths) > 1:
+        raise _HttpError(400, "conflicting Content-Length headers")
+    value = lengths.pop() if lengths else "0"
+    if not _CONTENT_LENGTH.fullmatch(value):
+        raise _HttpError(400, "invalid Content-Length")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(413, "request body too large")
     try:
         body = await reader.readexactly(length) if length else b""
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -635,7 +649,7 @@ def serve_aio(
     worker_id: Optional[int] = None,
     **app_kwargs,
 ) -> None:
-    """Blocking single-process asyncio server (``repro serve --aio``)."""
+    """Blocking single-process asyncio server (``repro serve``)."""
     app = AsyncServingApp(store, routes=routes, worker_id=worker_id, **app_kwargs)
     try:
         asyncio.run(_run_server(app, host, port, reuse_port, announce))

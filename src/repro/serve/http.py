@@ -1,4 +1,4 @@
-"""``repro serve``: a stdlib JSON API over the gateway, plus a thin client.
+"""``repro serve``: the serving core behind the JSON API, plus a thin client.
 
 Endpoints
 ---------
@@ -19,62 +19,49 @@ Endpoints
     Gateway per-endpoint request counters and latency percentiles, plus
     per-endpoint micro-batching stats.
 
-Everything is stdlib (:mod:`http.server`, :mod:`urllib.request`): the serving
-layer adds no dependencies.  The server is a
-:class:`~http.server.ThreadingHTTPServer`, so concurrent tenant requests are
-what feeds the per-endpoint :class:`~repro.serve.batching.MicroBatcher`.
+This module holds the transport-free half of that API: :class:`ServingApp`
+(gateway, per-endpoint :class:`~repro.serve.batching.MicroBatcher`, metrics
+and the introspection documents) and the keep-alive :class:`ServiceClient`.
+The one HTTP server in front of it is the asyncio
+:class:`~repro.serve.aio.server.AioServer`.
 
 Programmatic use::
 
-    server = create_server(ModelStore("./store"), port=0)     # 0 = any port
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    result = client.localize(fingerprints, model="calloc@prod")
+    with AioServerThread(ModelStore("./store")) as server:     # any free port
+        client = ServiceClient(server.base_url)
+        result = client.localize(fingerprints, model="calloc@prod")
 """
 
 from __future__ import annotations
 
 import http.client
-import json
 import threading
 import time
 import urllib.parse
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..defenses.base import GuardRejectedError
 from ..obs import metrics as obs_metrics
-from ..obs import prom, trace
+from ..obs import prom
 from ..obs.metrics import MetricsRegistry
-# The aio subpackage hosts the wire codecs and the shared localize
-# request/response semantics; both front ends route through them so the two
-# servers cannot drift apart in validation or response shape.
-from .aio.protocol import (
-    CONTENT_JSON,
-    build_localize_document,
-    decode_body,
-    encode_body,
-    normalize_content_type,
-    parse_localize_payload,
-)
+# The client speaks the server's wire codecs, which live in the aio package.
+from .aio.protocol import CONTENT_JSON, decode_body, encode_body, normalize_content_type
 from .batching import MicroBatcher
 from .gateway import Gateway
-from .store import ModelStore, StoreError
+from .store import ModelStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import LocalizationResult
 
-__all__ = ["ConnectionMetrics", "ServingApp", "ServiceClient", "create_server", "serve"]
+__all__ = ["ConnectionMetrics", "ServingApp", "ServiceClient"]
 
 
 class ConnectionMetrics:
-    """Connection lifecycle series for one server front end.
+    """Connection lifecycle series for one transport of the server.
 
-    Both front ends (stdlib threads, asyncio loop) report through the same
-    registry families, labeled by transport: connections accepted and
+    Registry families labeled by transport: connections accepted and
     closed, currently active, and keep-alive reuses (requests after the
     first on one connection).
     """
@@ -114,7 +101,7 @@ class ConnectionMetrics:
 
 
 class ServingApp:
-    """The serving application behind the HTTP handler (and the benchmarks).
+    """The synchronous serving core behind the asyncio server (and benchmarks).
 
     Owns the gateway plus one :class:`MicroBatcher` per endpoint (batches
     must never mix endpoints).  ``batching=False`` routes requests straight
@@ -254,16 +241,6 @@ class ServingApp:
             batcher.close()
 
     # -- documents ------------------------------------------------------
-    def localize_document(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Handle a parsed ``POST /v1/localize`` body; returns the response."""
-        endpoint, features, probabilities = parse_localize_payload(payload)
-        result = self.localize(endpoint, features)
-        # ``ref`` is the *pinned immutable version* the response came from
-        # (``knn@v2``), not just the routed ref — the field clients watch to
-        # observe a hot promote flip.  The gateway stamps it at scoring time.
-        ref = result.served_ref or self.gateway.resolved_version(endpoint)
-        return build_localize_document(endpoint, ref, result, probabilities)
-
     def models_document(self) -> Dict[str, Any]:
         """``GET /v1/models``: the shared machine-readable catalog format."""
         from ..registry import catalog_document
@@ -337,232 +314,6 @@ class ServingApp:
         )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the four endpoints onto the :class:`ServingApp` documents."""
-
-    app: ServingApp  # injected via functools.partial in create_server
-    protocol_version = "HTTP/1.1"
-    #: Max accepted request body (64 MiB) — a campaign-sized batch fits easily.
-    max_body_bytes = 64 * 1024 * 1024
-
-    def __init__(self, app: ServingApp, *args, **kwargs) -> None:
-        self.app = app
-        self._requests_on_connection = 0
-        super().__init__(*args, **kwargs)
-
-    # -- plumbing -------------------------------------------------------
-    def setup(self) -> None:
-        self._conn = self.app.connection_metrics("stdlib")
-        self._conn.connection_opened()
-        super().setup()
-
-    def finish(self) -> None:
-        try:
-            super().finish()
-        finally:
-            self._conn.connection_closed()
-
-    def _count_request(self, endpoint: str) -> None:
-        """Per-connection + per-endpoint accounting, before any resolution."""
-        self._requests_on_connection += 1
-        self._conn.request_on_connection(self._requests_on_connection)
-        self.app.record_http_request("stdlib", endpoint)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep the serving process quiet; metrics carry the counters
-
-    def _send_json(
-        self, status: int, document: Mapping[str, Any], endpoint: str = ""
-    ) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self._send_body(status, body, "application/json", endpoint)
-
-    def _send_body(
-        self, status: int, body: bytes, content_type: str, endpoint: str = ""
-    ) -> None:
-        if endpoint:
-            self.app.record_http_response("stdlib", endpoint, status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(
-        self, status: int, message: str, endpoint: str = ""
-    ) -> None:
-        self._send_json(status, {"error": message}, endpoint)
-
-    # -- verbs ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        split = urllib.parse.urlsplit(self.path)
-        path = split.path
-        self._count_request(path)
-        with trace.span("http.request", transport="stdlib", method="GET") as sp:
-            sp.set(path=path)
-            if path == "/healthz":
-                self._send_json(200, self.app.health_document(), path)
-            elif path == "/metrics":
-                query = urllib.parse.parse_qs(split.query)
-                if query.get("format", [""])[-1] == "prometheus":
-                    self._send_body(
-                        200,
-                        self.app.prometheus_text().encode("utf-8"),
-                        prom.CONTENT_TYPE_PROM,
-                        path,
-                    )
-                else:
-                    self._send_json(200, self.app.metrics_document(), path)
-            elif path == "/v1/models":
-                self._send_json(200, self.app.models_document(), path)
-            else:
-                sp.set(status=404)
-                self._send_error_json(404, f"unknown path {path!r}", path)
-
-    def do_POST(self) -> None:  # noqa: N802
-        from .aio.protocol import ProtocolError, UnsupportedContentType
-
-        path = self.path.split("?", 1)[0]
-        if path != "/v1/localize":
-            self._count_request(path)
-            self._send_error_json(404, f"unknown path {path!r}", path)
-            return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0 or length > self.max_body_bytes:
-            self._count_request(path)
-            self._send_error_json(413, "invalid or oversized request body", path)
-            return
-        try:
-            content_type = normalize_content_type(self.headers.get("Content-Type"))
-            payload = decode_body(self.rfile.read(length), content_type)
-        except UnsupportedContentType as error:
-            self._count_request(path)
-            self._send_error_json(415, str(error), path)
-            return
-        except ProtocolError as error:
-            self._count_request(path)
-            self._send_error_json(400, str(error), path)
-            return
-        # Count against the endpoint the request *asked for*, before any
-        # resolution: an unknown model's 404s land on its own series.
-        endpoint = self.app.requested_endpoint(payload)
-        self._count_request(endpoint)
-        with trace.span(
-            "http.request",
-            transport="stdlib",
-            method="POST",
-            endpoint=endpoint,
-            content_type=content_type,
-        ) as sp:
-            try:
-                document = self.app.localize_document(payload)
-            except StoreError as error:
-                sp.set(status=404)
-                self._send_error_json(404, str(error), endpoint)
-            except GuardRejectedError as error:
-                # An enforcing inference guard flagged the request as
-                # adversarial; the flagged row indices let the client
-                # identify the offenders.
-                sp.set(status=403)
-                self._send_json(
-                    403,
-                    {
-                        "error": str(error),
-                        "defense": error.defense,
-                        "flagged": list(error.flagged_indices),
-                    },
-                    endpoint,
-                )
-            except (TypeError, ValueError) as error:
-                sp.set(status=400)
-                self._send_error_json(400, str(error), endpoint)
-            except Exception as error:  # pragma: no cover - defensive 500
-                sp.set(status=500)
-                self._send_error_json(500, f"{type(error).__name__}: {error}", endpoint)
-            else:
-                sp.set(
-                    status=200,
-                    served_ref=document.get("ref"),
-                    batch=len(document.get("labels", ())),
-                )
-                # Responses mirror the request's negotiated encoding.
-                self._send_body(
-                    200, encode_body(document, content_type), content_type, endpoint
-                )
-
-
-class _ServingHTTPServer(ThreadingHTTPServer):
-    """Stdlib server with a serving-grade accept backlog.
-
-    socketserver's default ``request_queue_size`` of 5 resets fresh
-    connections when many clients connect in a burst; match the asyncio
-    tier's listen backlog instead.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-
-
-def create_server(
-    store: Union[ModelStore, str, None],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    routes: Optional[Mapping[str, str]] = None,
-    batching: bool = True,
-    max_batch: int = 64,
-    max_wait_ms: float = 5.0,
-    max_loaded: int = 8,
-    watch_interval_s: float = 0.0,
-    stats_window: int = 1024,
-) -> ThreadingHTTPServer:
-    """Build the serving HTTP server (not yet serving; call ``serve_forever``).
-
-    ``store`` may be a :class:`ModelStore` or a store root path; ``port=0``
-    binds any free port (read it back from ``server.server_address``).  The
-    :class:`ServingApp` is exposed as ``server.app``.
-    """
-    if not isinstance(store, ModelStore):
-        store = ModelStore(store)
-    app = ServingApp(
-        store,
-        routes=routes,
-        max_loaded=max_loaded,
-        batching=batching,
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-        watch_interval_s=watch_interval_s,
-        stats_window=stats_window,
-    )
-    server = _ServingHTTPServer((host, port), partial(_Handler, app))
-    server.app = app  # type: ignore[attr-defined]
-    return server
-
-
-def serve(
-    store: Union[ModelStore, str, None],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs,
-) -> None:
-    """Blocking entry point behind ``repro serve`` (Ctrl-C to stop)."""
-    server = create_server(store, host=host, port=port, **kwargs)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: listening on http://{bound_host}:{bound_port}")
-    print(f"  store: {server.app.gateway.store.root}")  # type: ignore[attr-defined]
-    models = server.app.gateway.store.list_models()  # type: ignore[attr-defined]
-    print(f"  models: {', '.join(models) if models else '<none published>'}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.app.close()  # type: ignore[attr-defined]
-        server.server_close()
-
-
 #: Failures that mean "the server closed our idle keep-alive connection" —
 #: safe to retry exactly once on a fresh connection.  Timeouts are excluded:
 #: the request may have executed, so retrying could double-submit it.
@@ -575,7 +326,7 @@ _RETRYABLE = (
 
 
 class ServiceClient:
-    """Thin client for a ``repro serve`` endpoint (stdlib or aio).
+    """Thin client for a ``repro serve`` endpoint.
 
     :meth:`localize` mirrors :meth:`LocalizationService.localize`: it returns
     a :class:`~repro.api.LocalizationResult` built from the response arrays.

@@ -1,4 +1,4 @@
-"""Tests for the wire codecs shared by both serving front ends."""
+"""Tests for the serving wire codecs (``repro.serve.aio.protocol``)."""
 
 from __future__ import annotations
 

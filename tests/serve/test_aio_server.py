@@ -171,6 +171,75 @@ class TestErrorMapping:
             blob = sock.recv(65536)
         assert b"431" in blob.split(b"\r\n", 1)[0]
 
+    @staticmethod
+    def _exchange(server, head: str, body: bytes) -> list:
+        """Send one raw keep-alive request; return every response head read
+        before the server closes the connection."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1") + body)
+            sock.shutdown(socket.SHUT_WR)
+            blob = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                blob += chunk
+        return [
+            "HTTP/1.1 " + part.split("\r\n\r\n", 1)[0]
+            for part in blob.decode("latin-1").split("HTTP/1.1 ")[1:]
+        ]
+
+    @staticmethod
+    def _localize_body(tiny_campaign) -> bytes:
+        features = tiny_campaign.test_for("S7").features[:1].tolist()
+        return json.dumps({"model": "knn", "fingerprints": features}).encode()
+
+    def test_chunked_body_is_501_and_one_response(self, aio_server, tiny_campaign):
+        body = self._localize_body(tiny_campaign)
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        heads = self._exchange(
+            aio_server,
+            "POST /v1/localize HTTP/1.1\r\nHost: x\r\n"
+            "Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n",
+            chunked,
+        )
+        assert len(heads) == 1, heads
+        assert heads[0].startswith("HTTP/1.1 501")
+        assert "Connection: close" in heads[0]
+
+    def _post_with_lengths(self, server, body: bytes, *lengths: str) -> list:
+        length_lines = "".join(f"Content-Length: {value}\r\n" for value in lengths)
+        return self._exchange(
+            server,
+            "POST /v1/localize HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\n{length_lines}\r\n",
+            body,
+        )
+
+    def test_conflicting_content_lengths_are_400(self, aio_server, tiny_campaign):
+        body = self._localize_body(tiny_campaign)
+        # Repeating the same value is harmless and still served.
+        heads = self._post_with_lengths(aio_server, body, str(len(body)), str(len(body)))
+        assert len(heads) == 1 and heads[0].startswith("HTTP/1.1 200"), heads
+        heads = self._post_with_lengths(
+            aio_server, body, str(len(body) + 1), str(len(body))
+        )
+        assert len(heads) == 1, heads
+        assert heads[0].startswith("HTTP/1.1 400")
+        assert "Connection: close" in heads[0]
+
+    @pytest.mark.parametrize(
+        "spell",
+        [lambda n: f"+{n}", lambda n: f"{n // 10}_{n % 10}", lambda n: f"-{n}"],
+        ids=["plus-sign", "underscore", "negative"],
+    )
+    def test_non_digit_content_length_is_400(self, aio_server, tiny_campaign, spell):
+        body = self._localize_body(tiny_campaign)
+        heads = self._post_with_lengths(aio_server, body, spell(len(body)))
+        assert len(heads) == 1, heads
+        assert heads[0].startswith("HTTP/1.1 400")
+        assert "Connection: close" in heads[0]
+
 
 class TestIntrospection:
     def test_health_announces_aio_frontend(self, client):

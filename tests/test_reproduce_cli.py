@@ -203,6 +203,46 @@ class TestServeParser:
         assert args.route == ["b1/knn=knn@prod", "b2/knn=knn@v2"]
 
 
+class TestServeCommand:
+    """``repro serve`` always runs the asyncio server; ``--aio`` is a no-op."""
+
+    @pytest.fixture()
+    def serve_calls(self, monkeypatch):
+        from repro.obs import trace
+        from repro.serve.aio import server
+
+        calls = []
+        monkeypatch.setenv(trace.TELEMETRY_ENV, "0")
+        monkeypatch.setattr(
+            server, "serve_aio", lambda store, **kwargs: calls.append((store, kwargs))
+        )
+        return calls
+
+    def test_plain_and_aio_flag_reach_serve_aio_alike(self, serve_calls, tmp_path):
+        store = ["--store", str(tmp_path / "store")]
+        assert main(["serve", *store]) == 0
+        assert main(["serve", "--aio", *store]) == 0
+        (plain_store, plain), (aio_store, aio) = serve_calls
+        assert plain_store.root == aio_store.root
+        assert plain == aio
+        assert plain["watch_interval_s"] == 0.25
+
+    def test_shadow_route_needs_no_aio_flag(self, serve_calls, tmp_path):
+        from repro.serve.aio.routing import RouteSpec
+
+        route = "ep=knn@prod,shadow=knn@v2"
+        assert main(["serve", "--store", str(tmp_path), "--route", route]) == 0
+        [(_, kwargs)] = serve_calls
+        spec = kwargs["routes"]["ep"]
+        assert isinstance(spec, RouteSpec)
+        assert (spec.ref, spec.shadow) == ("knn@prod", "knn@v2")
+
+    def test_aio_flag_is_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--aio" not in capsys.readouterr().out
+
+
 class TestRunSubcommand:
     SPEC = {
         "profile": "quick",
