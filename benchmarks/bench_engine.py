@@ -5,8 +5,8 @@ Times the quick-profile evaluation grid through
 :class:`repro.eval.engine.ExecutionEngine` under four execution modes:
 
 ``serial_cold``
-    ``jobs=1``, no cache — the legacy serial path and the baseline every
-    speedup is measured against.
+    ``jobs=1``, no cache — every work group runs in-process; the baseline
+    every speedup is measured against.
 ``parallel_cold``
     ``jobs=N`` (N = ``--jobs``, default ``min(4, cpu_count)``), no cache —
     isolates the process-pool speedup.

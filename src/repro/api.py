@@ -429,9 +429,7 @@ def run_experiment(
 ) -> ResultSet:
     """Execute a declarative experiment spec and return its results.
 
-    ``config`` overrides the spec's profile when given (the runner's cache of
-    simulated campaigns can then be shared across specs by reusing one
-    :class:`ExperimentRunner` via :meth:`ExperimentRunner.run`).
+    ``config`` overrides the spec's profile when given.
 
     ``jobs`` fans independent work units (campaign simulation, model
     training, attacked scoring) out over that many workers — processes by

@@ -10,7 +10,6 @@ from .base import Attack, GradientProvider, ThreatModel, no_attack, select_targe
 from .fgsm import FGSMAttack
 from .mim import MIMAttack
 from .mitm import (
-    ATTACK_REGISTRY,
     MITMScenario,
     SignalManipulationAttack,
     SignalSpoofingAttack,
@@ -30,7 +29,6 @@ __all__ = [
     "FGSMAttack",
     "PGDAttack",
     "MIMAttack",
-    "ATTACK_REGISTRY",
     "make_attack",
     "MITMScenario",
     "SignalManipulationAttack",

@@ -21,10 +21,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
+from ..defenses.curriculum import Curriculum
 from ..interfaces import DifferentiableLocalizer
 from ..registry import register_localizer
 from .adaptive import AdaptiveConfig
-from .curriculum import Curriculum
 from .model import CALLOCModel
 from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport
 

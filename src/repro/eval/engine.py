@@ -1,10 +1,8 @@
 """Parallel, cache-aware execution engine for the evaluation grid.
 
 The paper's evaluation is one big product grid — models × buildings ×
-devices × attack scenarios — that :class:`~repro.eval.runner.ExperimentRunner`
-used to walk with nested serial loops, re-simulating campaigns and retraining
-models at every operating point.  This module decomposes that grid into a
-flat DAG of *work units* and executes independent units concurrently:
+devices × attack scenarios.  This module decomposes that grid into a flat
+DAG of *work units* and executes independent units concurrently:
 
 ``CampaignUnit``
     Simulate the fingerprint campaign of one building (no dependencies).
@@ -22,6 +20,11 @@ flat DAG of *work units* and executes independent units concurrently:
     unit; scenarios that replace it (leave-one-device-out) depend only on
     the campaign and train their own model under a scenario-specific
     cache key.
+
+Every unit runs through one body, :func:`execute_unit`.  A serial run calls
+it inline, group by group (:meth:`ExecutionPlan.work_groups`); a thread or
+process pool runs each group as one task; the campaign queue
+(:mod:`repro.queue`) leases single units.
 
 Two properties make the engine safe to parallelise:
 
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -75,11 +79,12 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -134,7 +139,9 @@ __all__ = [
     "unit_digest",
     "unit_id",
     "unit_title",
+    "UnitMemo",
     "execute_unit",
+    "results_from_outcomes",
     "ExecutionEngine",
 ]
 
@@ -529,9 +536,9 @@ class ExecutionPlan:
     """The flat DAG of an experiment: every unit, dependency-ordered.
 
     ``eval_units`` are ordered model → building → device (scenarios inside
-    each unit keep the grid order), which is exactly the order the legacy
-    serial loops emitted records in; stitching unit results back together in
-    this order keeps parallel output byte-identical to the serial path.
+    each unit keep the grid order), which is the order records are emitted
+    in; stitching unit outcomes back together in this order keeps every
+    transport's output byte-identical.
     ``scenario_units`` follow in model → building → device → scenario order.
     """
 
@@ -573,6 +580,34 @@ class ExecutionPlan:
             *self.scenario_units,
         ]
 
+    def work_groups(self) -> List[Tuple["PlanUnit", ...]]:
+        """Every non-campaign unit, grouped for execution on one memo.
+
+        One group per train unit — the train unit, then its eval units, then
+        its standard-model scenario units, each in plan order — followed by
+        a group of one per scenario unit that trains its own model.  Running
+        a group on one :class:`UnitMemo` trains its model once and fits its
+        surrogate once; every group depends only on its building's campaign.
+        """
+        groups: Dict[Tuple[Tuple[str, str], str], List[PlanUnit]] = {
+            (unit.task.key, unit.building): [unit] for unit in self.train_units
+        }
+        for unit in self.eval_units:
+            groups[(unit.task.key, unit.building)].append(unit)
+        solo: List[Tuple[PlanUnit, ...]] = []
+        # trains_standard_model is a family-level (class) attribute, so memo
+        # by registry name — params may hold values that hash poorly.
+        trains_standard: Dict[str, bool] = {}
+        for unit in self.scenario_units:
+            name = unit.spec.name
+            if name not in trains_standard:
+                trains_standard[name] = unit.spec.build().trains_standard_model
+            if trains_standard[name]:
+                groups[(unit.task.key, unit.building)].append(unit)
+            else:
+                solo.append((unit,))
+        return [tuple(group) for group in groups.values()] + solo
+
 
 def build_plan(
     tasks: Sequence[ModelTask],
@@ -587,8 +622,8 @@ def build_plan(
     keys = [task.key for task in tasks]
     duplicates = sorted({key for key in keys if keys.count(key) > 1})
     if duplicates:
-        # (label, defense) keys the result-stitching maps; duplicates would
-        # silently score every duplicate against the last-trained model.
+        # (label, defense) keys the work groups and the model memo;
+        # duplicates would silently score every duplicate against one model.
         raise ValueError(f"duplicate model task labels {duplicates}")
     displays = [spec.display_name for spec in robustness]
     duplicate_specs = sorted({d for d in displays if displays.count(d) > 1})
@@ -769,9 +804,8 @@ def evaluate_unit(
     """Score one (model, building, device) cell across its scenarios.
 
     ``surrogates`` is an optional memo (keyed by model digest + surrogate
-    seed) letting the serial path reuse one surrogate across the eval units
-    of the same model, matching the legacy runner's behaviour; worker
-    processes pass a per-process module-level dict for the same effect.
+    seed) letting the eval units of one model reuse one surrogate;
+    :func:`execute_unit` passes its :class:`UnitMemo`'s.
     """
     test = campaign.test_for(unit.device)
     if surrogates is None:
@@ -964,158 +998,7 @@ def evaluate_scenario_unit(
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level so ProcessPoolExecutor can pickle them)
-# ----------------------------------------------------------------------
-class _WorkerMemo(threading.local):
-    """Per-thread memos for fitted surrogates and trained models.
-
-    These memos are thread-local, not process-global: a memoised model holds
-    live autograd state (parameter ``grad`` buffers, training-mode flags),
-    so sharing one instance between concurrently executing queue workers in
-    a single process would race.  For the process-pool path (one thread per
-    worker process) thread-local and process-global are the same thing.
-    Surrogates fitted for one (model, device) cell are reused by every later
-    cell of the same model that lands in the same worker (keys embed the
-    campaign digest via the model digest, so reuse can never cross
-    campaigns).
-    """
-
-    def __init__(self) -> None:
-        self.surrogates: Dict[str, SurrogateGradientModel] = {}
-        self.models: Dict[Tuple[Tuple[str, str], str], Tuple[Localizer, str]] = {}
-
-
-_WORKER_MEMO = _WorkerMemo()
-
-#: Campaigns are large (every fingerprint array of a building), so train/
-#: eval submissions ship only the campaign *digest*; workers rebuild the
-#: campaign once — from this memo, the on-disk cache, or a deterministic
-#: re-simulation — instead of paying pickle/unpickle IPC for the full
-#: payload on every unit.  Unlike models, a campaign is immutable input
-#: data, so one process-level memo is shared by every worker thread; the
-#: lock is held across the rebuild so a second thread wanting the same
-#: campaign waits for one rebuild instead of duplicating it.
-_CAMPAIGN_MEMO: Dict[str, LocalizationCampaign] = {}
-_CAMPAIGN_LOCK = threading.Lock()
-
-
-def _campaign_memo_get_or_build(digest, builder):
-    """Return the memoised campaign for ``digest``, building it if absent."""
-    with _CAMPAIGN_LOCK:
-        campaign = _CAMPAIGN_MEMO.get(digest)
-        if campaign is None:
-            campaign, computed = builder()
-            assert computed == digest, "campaign digest mismatch across workers"
-            _CAMPAIGN_MEMO[digest] = campaign
-    return campaign
-
-
-def _worker_campaign(
-    building: str, config: EvaluationConfig, cache_spec: Optional[Tuple[str, bool]]
-) -> Tuple[LocalizationCampaign, str]:
-    cache = ArtifactCache.from_spec(cache_spec)
-    with _unit_span(CampaignUnit(building=building), config, cache):
-        campaign, digest = simulate_campaign(building, config, cache)
-    with _CAMPAIGN_LOCK:
-        _CAMPAIGN_MEMO[digest] = campaign
-    return campaign, digest
-
-
-def _worker_get_campaign(
-    building: str,
-    campaign_digest: str,
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> LocalizationCampaign:
-    return _campaign_memo_get_or_build(
-        campaign_digest,
-        lambda: simulate_campaign(
-            building, config, ArtifactCache.from_spec(cache_spec)
-        ),
-    )
-
-
-def _worker_scenario(
-    unit: ScenarioUnit,
-    model: Optional[Localizer],
-    model_digest: Optional[str],
-    campaign_digest: str,
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> Tuple[ErrorStats, AttackScenario]:
-    campaign = _worker_get_campaign(
-        unit.building, campaign_digest, config, cache_spec
-    )
-    return evaluate_scenario_unit(
-        unit,
-        model,
-        model_digest,
-        campaign,
-        campaign_digest,
-        config,
-        ArtifactCache.from_spec(cache_spec),
-        surrogates=_WORKER_MEMO.surrogates,
-    )
-
-
-def _worker_task_group(
-    task: ModelTask,
-    building: str,
-    campaign_digest: str,
-    eval_units: List[Tuple[int, EvalUnit]],
-    scenario_units: List[Tuple[int, ScenarioUnit]],
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> Tuple[
-    Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]
-]:
-    """Train one (task, building) model and score all of its dependents.
-
-    Coalescing the train unit with its eval and standard-model scenario
-    units into one submission is what makes the parallel transport cheap:
-    the trained model and the fitted surrogate stay inside this worker (one
-    training, one surrogate fit, zero model pickling) and only the tiny
-    per-unit :class:`ErrorStats` cross the process boundary.  The campaign —
-    the genuinely large input — never ships at all: workers rebuild it from
-    the digest via the process-level read-only memo / artefact cache /
-    deterministic re-simulation.  Splitting these stages into per-unit
-    submissions (the previous design) re-pickled the model for every unit
-    and made small grids *slower* than serial — pure IPC overhead.
-    """
-    campaign = _worker_get_campaign(building, campaign_digest, config, cache_spec)
-    cache = ArtifactCache.from_spec(cache_spec)
-    with _unit_span(TrainUnit(task=task, building=building), config, cache):
-        model, model_digest = train_localizer(task, campaign, campaign_digest, cache)
-    stats_by_unit: Dict[int, List[ErrorStats]] = {}
-    for index, unit in eval_units:
-        with _unit_span(unit, config, cache):
-            stats_by_unit[index] = evaluate_unit(
-                unit,
-                model,
-                model_digest,
-                campaign,
-                config,
-                cache,
-                surrogates=_WORKER_MEMO.surrogates,
-            )
-    scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-    for index, unit in scenario_units:
-        with _unit_span(unit, config, cache):
-            scenario_outcomes[index] = evaluate_scenario_unit(
-                unit,
-                model,
-                model_digest,
-                campaign,
-                campaign_digest,
-                config,
-                cache,
-                surrogates=_WORKER_MEMO.surrogates,
-            )
-    return stats_by_unit, scenario_outcomes
-
-
-# ----------------------------------------------------------------------
-# Single-unit execution (standalone entry points for the campaign queue)
+# Unit identity and execution (the one unit body every transport runs)
 # ----------------------------------------------------------------------
 def unit_kind(unit: PlanUnit) -> str:
     """The stage name of one plan unit: campaign/train/eval/scenario."""
@@ -1209,7 +1092,7 @@ class _unit_span:
     :class:`ArtifactCache` recorded while it ran).  Zero-cost while
     telemetry is disabled (no ids computed, no clock reads).  Sequential
     use only — a unit span must wrap one unit on one thread at a time,
-    which is how every execution path runs units.
+    which is how :func:`execute_unit` runs units.
     """
 
     __slots__ = ("_inner", "_stats", "_before", "_live")
@@ -1257,54 +1140,96 @@ class _unit_span:
         self._inner.__exit__(exc_type, exc, tb)
 
 
-def _memoised_campaign(
-    building: str, config: EvaluationConfig, cache: Optional[ArtifactCache]
-) -> Tuple[LocalizationCampaign, str]:
-    """Per-process campaign lookup shared by every standalone unit execution."""
-    digest = cache_key("campaign", _campaign_payload(building, config))
-    campaign = _campaign_memo_get_or_build(
-        digest, lambda: simulate_campaign(building, config, cache)
-    )
-    return campaign, digest
+#: Campaigns are large (every fingerprint array of a building), so work
+#: groups and queue units never ship one: each process rebuilds a campaign
+#: once — from this memo, the on-disk cache, or a deterministic
+#: re-simulation — instead of paying pickle/unpickle IPC for the full
+#: payload on every unit.  Unlike models, a campaign is immutable input
+#: data, so one process-level memo is shared by every queue thread and pool
+#: work group; the lock is held across the rebuild so a second thread
+#: wanting the same campaign waits for one rebuild instead of duplicating it.
+_CAMPAIGN_MEMO: Dict[str, LocalizationCampaign] = {}
+_CAMPAIGN_LOCK = threading.Lock()
 
 
-def _memoised_localizer(
-    task: ModelTask,
-    campaign: LocalizationCampaign,
-    campaign_digest: str,
-    cache: Optional[ArtifactCache],
-) -> Tuple[Localizer, str]:
-    """Per-worker trained-model lookup for standalone unit execution.
+class UnitMemo:
+    """In-memory intermediates reused by the units one executor runs in turn.
 
-    A model's eval/scenario units run as separate queue units, so without a
-    memo every one would deserialise (or retrain) the same localizer from
-    the cache; the in-process engine keeps models in memory across the same
-    span.  Keyed by (task key, campaign digest) — exactly what determines
-    the trained artefact.
+    * ``campaigns`` — simulated campaigns keyed by campaign digest;
+    * ``models`` — trained standard models keyed by (task key, campaign
+      digest), exactly what determines the trained artefact;
+    * ``surrogates`` — fitted surrogate gradients keyed by model digest and
+      surrogate seed (see :func:`_resolve_victim`), so reuse can never cross
+      campaigns.
+
+    A memoised model holds live autograd state (parameter ``grad`` buffers,
+    training-mode flags), so one memo serves one thread at a time.  A serial
+    run uses one memo for the whole run, every pool work group a fresh one,
+    and every queue thread its own long-lived one.  Pool and queue memos
+    share the process-level campaign dict, which is read-only data.
     """
-    memo_key = (task.key, campaign_digest)
-    hit = _WORKER_MEMO.models.get(memo_key)
-    if hit is None:
-        hit = train_localizer(task, campaign, campaign_digest, cache)
-        _WORKER_MEMO.models[memo_key] = hit
-    return hit
+
+    def __init__(
+        self, campaigns: Optional[Dict[str, LocalizationCampaign]] = None
+    ) -> None:
+        self.campaigns = {} if campaigns is None else campaigns
+        self.models: Dict[Tuple[Tuple[str, str], str], Tuple[Localizer, str]] = {}
+        self.surrogates: Dict[str, SurrogateGradientModel] = {}
+
+    def campaign(
+        self, building: str, config: EvaluationConfig, cache: Optional[ArtifactCache]
+    ) -> Tuple[LocalizationCampaign, str]:
+        """One building's campaign and digest, simulated or loaded at most once."""
+        digest = cache_key("campaign", _campaign_payload(building, config))
+        with _CAMPAIGN_LOCK:
+            campaign = self.campaigns.get(digest)
+            if campaign is None:
+                campaign, _ = simulate_campaign(building, config, cache)
+                self.campaigns[digest] = campaign
+        return campaign, digest
+
+    def model(
+        self,
+        task: ModelTask,
+        campaign: LocalizationCampaign,
+        campaign_digest: str,
+        cache: Optional[ArtifactCache],
+    ) -> Tuple[Localizer, str]:
+        """One task's standard model and digest, trained or loaded at most once."""
+        key = (task.key, campaign_digest)
+        if key not in self.models:
+            self.models[key] = train_localizer(task, campaign, campaign_digest, cache)
+        return self.models[key]
+
+
+class _ThreadMemo(threading.local):
+    """One long-lived :class:`UnitMemo` per thread (what queue workers use)."""
+
+    def __init__(self) -> None:
+        self.memo = UnitMemo(_CAMPAIGN_MEMO)
+
+
+_THREAD_MEMO = _ThreadMemo()
 
 
 def execute_unit(
     unit: PlanUnit,
     config: EvaluationConfig,
     cache: Optional[ArtifactCache] = None,
+    memo: Optional[UnitMemo] = None,
 ) -> Dict[str, Any]:
-    """Execute one plan unit standalone and return a JSON-ready outcome.
+    """Execute one plan unit and return its JSON-ready outcome document.
 
-    This is the reusable single-unit entry point the distributed campaign
-    queue (:mod:`repro.queue`) drives: any process holding the spec's
-    :class:`EvaluationConfig` and (a path to) the shared artefact cache can
-    execute any unit of the plan.  Dependencies are *not* re-executed — they
-    are resolved through the content-addressed cache (or deterministically
-    recomputed when missing, which is slower but bit-identical), so running
-    units in any dependency-respecting order across any number of processes
-    yields the same artefacts and outcomes as the in-process engine.
+    This is the only unit body: serial runs, pool work groups and the
+    distributed campaign queue (:mod:`repro.queue`) all execute units
+    through it, inside one ``engine.unit`` span.  Any process holding the
+    spec's :class:`EvaluationConfig` and (a path to) the shared artefact
+    cache can execute any unit of the plan.  Dependencies are *not*
+    re-executed — they are resolved through ``memo`` and the
+    content-addressed cache (or deterministically recomputed when missing,
+    which is slower but bit-identical), so running units in any
+    dependency-respecting order across any number of processes yields the
+    same artefacts and outcomes.
 
     Returns per kind:
 
@@ -1312,50 +1237,31 @@ def execute_unit(
     * eval — ``{"stats": [<ErrorStats dict> per attack point]}``;
     * scenario — ``{"stats": <ErrorStats dict>, "attack_point": <dict>}``.
 
-    Campaigns, trained models and fitted surrogates are memoised per worker
-    thread (the same memos the pool workers use), so a long-lived queue
-    worker pays campaign/model deserialisation once, not once per unit.
+    ``memo`` defaults to the calling thread's long-lived :class:`UnitMemo`,
+    so a queue worker pays campaign/model deserialisation once, not once
+    per unit.
     """
+    kind = unit_kind(unit)
+    if memo is None:
+        memo = _THREAD_MEMO.memo
     with _unit_span(unit, config, cache):
-        return _execute_unit(unit, config, cache)
-
-
-def _execute_unit(
-    unit: PlanUnit,
-    config: EvaluationConfig,
-    cache: Optional[ArtifactCache],
-) -> Dict[str, Any]:
-    if isinstance(unit, CampaignUnit):
-        _, digest = _memoised_campaign(unit.building, config, cache)
-        return {"digest": digest}
-    if isinstance(unit, TrainUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
-        _, digest = _memoised_localizer(unit.task, campaign, campaign_digest, cache)
-        return {"digest": digest}
-    if isinstance(unit, EvalUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
-        model, model_digest = _memoised_localizer(
-            unit.task, campaign, campaign_digest, cache
-        )
-        stats = evaluate_unit(
-            unit,
-            model,
-            model_digest,
-            campaign,
-            config,
-            cache,
-            surrogates=_WORKER_MEMO.surrogates,
-        )
-        return {"stats": [dataclasses.asdict(s) for s in stats]}
-    if isinstance(unit, ScenarioUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
+        campaign, campaign_digest = memo.campaign(unit.building, config, cache)
+        if kind == "campaign":
+            return {"digest": campaign_digest}
         model: Optional[Localizer] = None
         model_digest: Optional[str] = None
-        if unit.spec.build().trains_standard_model:
-            model, model_digest = _memoised_localizer(
+        if kind != "scenario" or unit.spec.build().trains_standard_model:
+            model, model_digest = memo.model(
                 unit.task, campaign, campaign_digest, cache
             )
-        stats, attack_point = evaluate_scenario_unit(
+        if kind == "train":
+            return {"digest": model_digest}
+        if kind == "eval":
+            stats = evaluate_unit(
+                unit, model, model_digest, campaign, config, cache, memo.surrogates
+            )
+            return {"stats": [dataclasses.asdict(s) for s in stats]}
+        scenario_stats, attack_point = evaluate_scenario_unit(
             unit,
             model,
             model_digest,
@@ -1363,13 +1269,81 @@ def _execute_unit(
             campaign_digest,
             config,
             cache,
-            surrogates=_WORKER_MEMO.surrogates,
+            memo.surrogates,
         )
         return {
-            "stats": dataclasses.asdict(stats),
+            "stats": dataclasses.asdict(scenario_stats),
             "attack_point": dataclasses.asdict(attack_point),
         }
-    raise TypeError(f"not a plan unit: {unit!r}")
+
+
+def _run_group(
+    units: Sequence[PlanUnit],
+    config: EvaluationConfig,
+    cache_spec: Optional[Tuple[str, bool]],
+) -> List[Dict[str, Any]]:
+    """Execute one work group in order on a fresh memo: a pool's only task.
+
+    Module-level so ``ProcessPoolExecutor`` can pickle it.  Running a train
+    unit together with its dependents is what makes the pool transport
+    cheap: the trained model and the fitted surrogate stay in this memo (one
+    training, one surrogate fit, zero model pickling) and only the outcome
+    documents cross the pool boundary.  The campaign — the genuinely large
+    input — never crosses it in either direction.  Per-unit submissions (an
+    earlier design) re-pickled the model for every unit and made small grids
+    *slower* than serial.
+    """
+    cache = ArtifactCache.from_spec(cache_spec)
+    memo = UnitMemo(_CAMPAIGN_MEMO)
+    return [execute_unit(unit, config, cache, memo) for unit in units]
+
+
+def results_from_outcomes(
+    plan: ExecutionPlan,
+    outcome_for: Callable[[PlanUnit], Optional[Mapping[str, Any]]],
+) -> "ResultSet":
+    """Stitch unit outcome documents into records in canonical order.
+
+    Eval units in plan order, then scenario units — the order the grid's
+    serial loops always emitted — so every transport that produces the same
+    outcomes yields a byte-identical :class:`ResultSet`.  ``outcome_for``
+    returns the document :func:`execute_unit` produced for a unit, or
+    ``None`` to omit the unit (a partial queue run).
+    """
+    from .runner import EvaluationRecord, ResultSet
+
+    results = ResultSet()
+    for unit in plan.eval_units:
+        document = outcome_for(unit)
+        if document is None:
+            continue
+        for scenario, stats in zip(unit.scenarios, document["stats"]):
+            results.add(
+                EvaluationRecord(
+                    model=unit.task.label,
+                    building=unit.building,
+                    device=unit.device,
+                    scenario=scenario,
+                    stats=ErrorStats(**stats),
+                    defense=unit.task.defense_label,
+                )
+            )
+    for unit in plan.scenario_units:
+        document = outcome_for(unit)
+        if document is None:
+            continue
+        results.add(
+            EvaluationRecord(
+                model=unit.task.label,
+                building=unit.building,
+                device=unit.device,
+                scenario=AttackScenario(**document["attack_point"]),
+                stats=ErrorStats(**document["stats"]),
+                condition=unit.spec.display_name,
+                defense=unit.task.defense_label,
+            )
+        )
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1383,10 +1357,10 @@ class ExecutionEngine:
     config:
         Evaluation profile supplying the default grid and all seeds.
     jobs:
-        Number of workers.  ``1`` (the default) runs every unit in-process —
-        the exact legacy serial path; ``>1`` fans coalesced (task, building)
-        work groups out over the selected executor.  Either way the results
-        are bit-identical.
+        Number of workers.  ``1`` (the default) runs every work group
+        in-process; ``>1`` fans the work groups out over the selected
+        executor.  Either way every unit runs through :func:`execute_unit`
+        and the results are bit-identical.
     executor:
         ``"process"`` (default) runs workers in a
         :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"`` uses a
@@ -1398,10 +1372,6 @@ class ExecutionEngine:
         Anything :meth:`ArtifactCache.coerce` accepts: ``None``/``False``
         (no caching), ``True`` (default location), a directory path, or an
         :class:`ArtifactCache` instance.
-    campaigns:
-        Optional pre-seeded ``building name -> campaign`` memo, shared with
-        the caller (e.g. :class:`~repro.eval.runner.ExperimentRunner` passes
-        its own in-memory campaign cache).
     """
 
     EXECUTORS = ("process", "thread")
@@ -1411,7 +1381,6 @@ class ExecutionEngine:
         config: Optional[EvaluationConfig] = None,
         jobs: int = 1,
         cache: Union[None, bool, str, Path, ArtifactCache] = None,
-        campaigns: Optional[Dict[str, LocalizationCampaign]] = None,
         executor: str = "process",
     ) -> None:
         if jobs < 1:
@@ -1424,9 +1393,7 @@ class ExecutionEngine:
         self.jobs = int(jobs)
         self.executor = executor
         self.cache = ArtifactCache.coerce(cache)
-        self._campaigns = campaigns if campaigns is not None else {}
 
-    # -- public API -----------------------------------------------------
     def run(
         self,
         tasks: Sequence[ModelTask],
@@ -1440,232 +1407,50 @@ class ExecutionEngine:
         ``robustness`` adds one :class:`ScenarioUnit` per (model, building,
         device, scenario spec); its records follow the attack-grid records,
         tagged with the scenario's display name in their ``condition`` field.
-        """
-        from .runner import EvaluationRecord, ResultSet
 
+        At ``jobs=1`` the campaign units and then every work group run
+        inline on one :class:`UnitMemo`.  At ``jobs>1`` each campaign unit is
+        submitted as a group of one, and the moment a building's campaign
+        lands, every work group of that building follows.  Completion order
+        is nondeterministic but irrelevant — outcomes are stitched back in
+        plan order by :func:`results_from_outcomes`.
+        """
         buildings = tuple(buildings) if buildings is not None else self.config.buildings
         devices = tuple(devices) if devices is not None else self.config.devices
         plan = build_plan(
             tasks, scenarios, buildings, devices, tuple(robustness or ())
         )
+        # Keyed by unit identity: the plan owns every unit for the whole
+        # run, and task params need not be hashable.
+        outcomes: Dict[int, Dict[str, Any]] = {}
         if self.jobs == 1:
-            stats_by_unit, scenario_outcomes = self._execute_serial(plan)
+            memo = UnitMemo()
+            for unit in itertools.chain(plan.campaign_units, *plan.work_groups()):
+                outcomes[id(unit)] = execute_unit(unit, self.config, self.cache, memo)
         else:
-            stats_by_unit, scenario_outcomes = self._execute_parallel(plan)
-        results = ResultSet()
-        for index, unit in enumerate(plan.eval_units):
-            for scenario, stats in zip(unit.scenarios, stats_by_unit[index]):
-                results.add(
-                    EvaluationRecord(
-                        model=unit.task.label,
-                        building=unit.building,
-                        device=unit.device,
-                        scenario=scenario,
-                        stats=stats,
-                        defense=unit.task.defense_label,
-                    )
-                )
-        for index, unit in enumerate(plan.scenario_units):
-            stats, attack_point = scenario_outcomes[index]
-            results.add(
-                EvaluationRecord(
-                    model=unit.task.label,
-                    building=unit.building,
-                    device=unit.device,
-                    scenario=attack_point,
-                    stats=stats,
-                    condition=unit.spec.display_name,
-                    defense=unit.task.defense_label,
-                )
+            cache_spec = self.cache.spec() if self.cache is not None else None
+            groups_by_building: Dict[str, List[Tuple[PlanUnit, ...]]] = {}
+            for group in plan.work_groups():
+                groups_by_building.setdefault(group[0].building, []).append(group)
+            pool_class = (
+                ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
             )
-        return results
+            with pool_class(max_workers=self.jobs) as pool:
+                pending: Dict[Any, Tuple[PlanUnit, ...]] = {}
 
-    def campaign(self, building: str) -> LocalizationCampaign:
-        """Return (and memoise) the simulated campaign for one building."""
-        return self._campaign_with_digest(building)[0]
+                def submit(group: Tuple[PlanUnit, ...]) -> None:
+                    future = pool.submit(_run_group, group, self.config, cache_spec)
+                    pending[future] = group
 
-    # -- serial path ----------------------------------------------------
-    def _campaign_with_digest(self, building: str) -> Tuple[LocalizationCampaign, str]:
-        if building in self._campaigns:
-            digest = cache_key("campaign", _campaign_payload(building, self.config))
-            return self._campaigns[building], digest
-        campaign, digest = simulate_campaign(building, self.config, self.cache)
-        self._campaigns[building] = campaign
-        return campaign, digest
-
-    def _execute_serial(
-        self, plan: ExecutionPlan
-    ) -> Tuple[Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]]:
-        campaigns: Dict[str, Tuple[LocalizationCampaign, str]] = {}
-        for unit in plan.campaign_units:
-            with _unit_span(unit, self.config, self.cache):
-                campaigns[unit.building] = self._campaign_with_digest(unit.building)
-        models: Dict[Tuple[str, str], Tuple[Localizer, str]] = {}
-        for train_unit in plan.train_units:
-            campaign, campaign_digest = campaigns[train_unit.building]
-            with _unit_span(train_unit, self.config, self.cache):
-                models[(train_unit.task.key, train_unit.building)] = train_localizer(
-                    train_unit.task, campaign, campaign_digest, self.cache
-                )
-        surrogates: Dict[str, SurrogateGradientModel] = {}
-        stats_by_unit: Dict[int, List[ErrorStats]] = {}
-        for index, eval_unit in enumerate(plan.eval_units):
-            campaign, _ = campaigns[eval_unit.building]
-            model, model_digest = models[(eval_unit.task.key, eval_unit.building)]
-            with _unit_span(eval_unit, self.config, self.cache):
-                stats_by_unit[index] = evaluate_unit(
-                    eval_unit,
-                    model,
-                    model_digest,
-                    campaign,
-                    self.config,
-                    self.cache,
-                    surrogates=surrogates,
-                )
-        scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-        for index, scenario_unit in enumerate(plan.scenario_units):
-            campaign, campaign_digest = campaigns[scenario_unit.building]
-            if scenario_unit.spec.build().trains_standard_model:
-                model, model_digest = models[
-                    (scenario_unit.task.key, scenario_unit.building)
-                ]
-            else:
-                model, model_digest = None, None
-            with _unit_span(scenario_unit, self.config, self.cache):
-                scenario_outcomes[index] = evaluate_scenario_unit(
-                    scenario_unit,
-                    model,
-                    model_digest,
-                    campaign,
-                    campaign_digest,
-                    self.config,
-                    self.cache,
-                    surrogates=surrogates,
-                )
-        return stats_by_unit, scenario_outcomes
-
-    # -- parallel path --------------------------------------------------
-    def _executor_factory(self):
-        """The selected :mod:`concurrent.futures` executor class."""
-        return (
-            ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
-        )
-
-    def _execute_parallel(
-        self, plan: ExecutionPlan
-    ) -> Tuple[Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]]:
-        """Dependency-driven execution over a process or thread pool.
-
-        Work is submitted at *task-group* granularity: one campaign unit per
-        building, then — the moment a building's campaign digest lands — one
-        coalesced :func:`_worker_task_group` per (task, building) covering
-        the train unit plus every eval unit and standard-model scenario unit
-        that depends on it.  Scenario units that train their own model (no
-        shared train dependency) are submitted individually alongside.
-
-        Coalescing is deliberate: the per-unit submissions this replaced
-        shipped the trained model (pickled) to every eval unit and the
-        surrogate state to none of them, so small work units spent more time
-        in IPC than in numpy and ``jobs=2`` ran *slower* than serial.  With
-        groups, models and surrogates never leave the worker, campaigns
-        travel as digests against a read-only process-level memo, and the
-        only per-unit traffic is a few hundred bytes of statistics.
-
-        Completion order is nondeterministic but irrelevant — results are
-        keyed by unit index and stitched back in plan order by :meth:`run`.
-        """
-        cache_spec = self.cache.spec() if self.cache is not None else None
-        campaigns: Dict[str, Tuple[LocalizationCampaign, str]] = {}
-        stats_by_unit: Dict[int, List[ErrorStats]] = {}
-        scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-
-        # Dependency indices: building -> train-unit ids, train id -> eval /
-        # scenario ids, building -> self-training scenario ids.
-        trains_by_building: Dict[str, List[int]] = {}
-        for train_index, train_unit in enumerate(plan.train_units):
-            trains_by_building.setdefault(train_unit.building, []).append(train_index)
-        evals_by_train: Dict[Tuple[str, str], List[Tuple[int, EvalUnit]]] = {}
-        for eval_index, eval_unit in enumerate(plan.eval_units):
-            key = (eval_unit.task.key, eval_unit.building)
-            evals_by_train.setdefault(key, []).append((eval_index, eval_unit))
-        scenarios_by_train: Dict[Tuple[str, str], List[Tuple[int, ScenarioUnit]]] = {}
-        scenarios_by_campaign: Dict[str, List[int]] = {}
-        # trains_standard_model is a family-level (class) attribute, so memo
-        # by registry name — params may hold values that hash poorly.
-        trains_standard: Dict[str, bool] = {}
-        for scenario_index, scenario_unit in enumerate(plan.scenario_units):
-            spec = scenario_unit.spec
-            if spec.name not in trains_standard:
-                trains_standard[spec.name] = spec.build().trains_standard_model
-            if trains_standard[spec.name]:
-                key = (scenario_unit.task.key, scenario_unit.building)
-                scenarios_by_train.setdefault(key, []).append(
-                    (scenario_index, scenario_unit)
-                )
-            else:
-                scenarios_by_campaign.setdefault(
-                    scenario_unit.building, []
-                ).append(scenario_index)
-
-        with self._executor_factory()(max_workers=self.jobs) as executor:
-            pending = {}
-
-            def submit_scenario(scenario_index: int, campaign_digest: str) -> None:
-                scenario_future = executor.submit(
-                    _worker_scenario,
-                    plan.scenario_units[scenario_index],
-                    None,
-                    None,
-                    campaign_digest,
-                    self.config,
-                    cache_spec,
-                )
-                pending[scenario_future] = ("scenario", scenario_index)
-
-            def submit_groups(building: str, digest: str) -> None:
-                for train_index in trains_by_building.get(building, ()):
-                    train_unit = plan.train_units[train_index]
-                    key = (train_unit.task.key, building)
-                    group_future = executor.submit(
-                        _worker_task_group,
-                        train_unit.task,
-                        building,
-                        digest,
-                        evals_by_train.get(key, []),
-                        scenarios_by_train.get(key, []),
-                        self.config,
-                        cache_spec,
-                    )
-                    pending[group_future] = ("group", None)
-                for scenario_index in scenarios_by_campaign.get(building, ()):
-                    submit_scenario(scenario_index, digest)
-
-            for unit in plan.campaign_units:
-                if unit.building in self._campaigns:
-                    # Pre-seeded memo (e.g. a runner reused across specs):
-                    # skip the campaign worker and unblock training directly.
-                    campaign, digest = self._campaign_with_digest(unit.building)
-                    campaigns[unit.building] = (campaign, digest)
-                    submit_groups(unit.building, digest)
-                    continue
-                future = executor.submit(
-                    _worker_campaign, unit.building, self.config, cache_spec
-                )
-                pending[future] = ("campaign", unit)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    kind, unit = pending.pop(future)
-                    outcome = future.result()
-                    if kind == "campaign":
-                        campaign, digest = outcome
-                        campaigns[unit.building] = (campaign, digest)
-                        self._campaigns.setdefault(unit.building, campaign)
-                        submit_groups(unit.building, digest)
-                    elif kind == "group":
-                        group_stats, group_outcomes = outcome
-                        stats_by_unit.update(group_stats)
-                        scenario_outcomes.update(group_outcomes)
-                    else:  # scenario
-                        scenario_outcomes[unit] = outcome
-        return stats_by_unit, scenario_outcomes
+                for campaign_unit in plan.campaign_units:
+                    submit((campaign_unit,))
+                while pending:
+                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        group = pending.pop(future)
+                        for unit, outcome in zip(group, future.result()):
+                            outcomes[id(unit)] = outcome
+                        if isinstance(group[0], CampaignUnit):
+                            for dependent in groups_by_building.get(group[0].building, ()):
+                                submit(dependent)
+        return results_from_outcomes(plan, lambda unit: outcomes[id(unit)])

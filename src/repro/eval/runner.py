@@ -1,13 +1,16 @@
-"""Experiment runner: trains localizers and evaluates them under attack.
+"""Experiment runner and the result records every figure/table reads.
 
-The runner owns the plumbing every figure/table of the paper needs:
+Each experiment of the paper
 
-* simulate (or load) the fingerprint campaign for each building,
-* train a localizer on the offline (OP3) database,
-* attack the online fingerprints of each test device under a grid of
+* simulates (or loads) the fingerprint campaign for each building,
+* trains a localizer on the offline (OP3) database,
+* attacks the online fingerprints of each test device under a grid of
   :class:`~repro.eval.scenarios.AttackScenario` operating points,
-* report localization-error statistics per (model, building, device, scenario).
+* reports localization-error statistics per (model, building, device, scenario).
 
+:class:`ExperimentRunner` hands a spec to :mod:`repro.eval.engine`, which
+executes those steps as a DAG of cached work units; the outcomes come back
+as :class:`EvaluationRecord` rows of a :class:`ResultSet`.
 Non-differentiable victims (KNN, GPC, SANGRIA, WiDeep, ...) are attacked
 through a surrogate-gradient model fitted on the victim's own predictions, as
 described in ``repro.attacks.surrogate``.
@@ -17,19 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..attacks.base import GradientProvider, ThreatModel
-from ..attacks.mitm import SignalSpoofingAttack, attack_dataset, replay_survey
-from ..attacks.surrogate import SurrogateGradientModel
-from ..data.campaign import CampaignConfig, LocalizationCampaign, collect_campaign
-from ..data.fingerprint import FingerprintDataset
-from ..data.floorplan import paper_building
-from ..interfaces import ErrorSummary, Localizer
-from ..registry import make_attack
-from .metrics import ErrorStats, error_stats
+from ..interfaces import ErrorSummary
+from .metrics import ErrorStats
 from .scenarios import AttackScenario, EvaluationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports runner)
@@ -167,13 +163,12 @@ class ResultSet:
 
 
 class ExperimentRunner:
-    """Coordinates campaigns, model training and attacked evaluation.
+    """Runs declarative experiment specs with fixed execution settings.
 
-    ``run`` executes declarative specs through the parallel, cache-aware
-    :class:`~repro.eval.engine.ExecutionEngine`; ``jobs``/``cache`` select
-    worker-process count and on-disk memoisation (see the engine docs).  The
-    explicit ``evaluate_model``/``evaluate_models`` methods remain the
-    in-process serial reference path.
+    ``run`` executes an :class:`~repro.api.ExperimentSpec` through the
+    cache-aware :class:`~repro.eval.engine.ExecutionEngine`;
+    ``jobs``/``executor``/``cache`` select the worker count, the pool kind
+    and on-disk memoisation (see the engine docs).
     """
 
     def __init__(
@@ -187,118 +182,6 @@ class ExperimentRunner:
         self.jobs = jobs
         self.cache = cache
         self.executor = executor
-        self._campaigns: Dict[str, LocalizationCampaign] = {}
-        self._surrogates: Dict[int, SurrogateGradientModel] = {}
-
-    # ------------------------------------------------------------------
-    def campaign(self, building_name: str) -> LocalizationCampaign:
-        """Return (and cache) the simulated campaign for a building."""
-        if building_name not in self._campaigns:
-            building = paper_building(
-                building_name, rp_granularity_m=self.config.rp_granularity_m
-            )
-            self._campaigns[building_name] = collect_campaign(
-                building, CampaignConfig(seed=self.config.campaign_seed)
-            )
-        return self._campaigns[building_name]
-
-    def train(self, factory: Callable[[], Localizer], building_name: str) -> Localizer:
-        """Instantiate and fit a localizer on a building's offline database."""
-        campaign = self.campaign(building_name)
-        model = factory()
-        model.fit(campaign.train)
-        return model
-
-    # ------------------------------------------------------------------
-    def _gradient_provider(
-        self, model: Localizer, campaign: LocalizationCampaign
-    ) -> GradientProvider:
-        """White-box gradient access: native for NN models, surrogate otherwise."""
-        if hasattr(model, "loss_gradient"):
-            return model  # type: ignore[return-value]
-        key = id(model)
-        if key not in self._surrogates:
-            train = campaign.train
-            surrogate = SurrogateGradientModel(
-                num_aps=train.num_aps,
-                num_classes=train.num_classes,
-                epochs=80,
-                seed=self.config.model_seed,
-            )
-            victim_labels = model.predict(train.features)
-            surrogate.fit(train.features, victim_labels)
-            self._surrogates[key] = surrogate
-        return self._surrogates[key]
-
-    def attacked_dataset(
-        self,
-        model: Localizer,
-        dataset: FingerprintDataset,
-        scenario: AttackScenario,
-        campaign: LocalizationCampaign,
-    ) -> FingerprintDataset:
-        """Apply one attack scenario to a test dataset against ``model``."""
-        if scenario.is_clean:
-            return dataset
-        threat = ThreatModel(
-            epsilon=scenario.epsilon,
-            phi_percent=scenario.phi_percent,
-            seed=scenario.seed,
-        )
-        attack = make_attack(scenario.method, threat)
-        if isinstance(attack, SignalSpoofingAttack) and attack.replay_features is None:
-            # The spoofer's counterfeit baseline comes from its own offline
-            # survey of the building, never from the batch under attack.
-            attack.replay_features = replay_survey(campaign.train)
-        victim = self._gradient_provider(model, campaign)
-        return attack_dataset(dataset, attack, victim)
-
-    # ------------------------------------------------------------------
-    def evaluate_model(
-        self,
-        name: str,
-        factory: Callable[[], Localizer],
-        scenarios: Sequence[AttackScenario],
-        buildings: Optional[Sequence[str]] = None,
-        devices: Optional[Sequence[str]] = None,
-    ) -> ResultSet:
-        """Train ``factory()`` per building and evaluate it across the grid."""
-        buildings = tuple(buildings) if buildings is not None else self.config.buildings
-        devices = tuple(devices) if devices is not None else self.config.devices
-        results = ResultSet()
-        for building_name in buildings:
-            campaign = self.campaign(building_name)
-            model = self.train(factory, building_name)
-            for device in devices:
-                test = campaign.test_for(device)
-                for scenario in scenarios:
-                    attacked = self.attacked_dataset(model, test, scenario, campaign)
-                    errors = model.evaluate(attacked)
-                    results.add(
-                        EvaluationRecord(
-                            model=name,
-                            building=building_name,
-                            device=device,
-                            scenario=scenario,
-                            stats=error_stats(errors),
-                        )
-                    )
-        return results
-
-    def evaluate_models(
-        self,
-        factories: Dict[str, Callable[[], Localizer]],
-        scenarios: Sequence[AttackScenario],
-        buildings: Optional[Sequence[str]] = None,
-        devices: Optional[Sequence[str]] = None,
-    ) -> ResultSet:
-        """Evaluate several named models over the same scenario grid."""
-        results = ResultSet()
-        for name, factory in factories.items():
-            results.extend(
-                self.evaluate_model(name, factory, scenarios, buildings, devices).records
-            )
-        return results
 
     def run(
         self,
@@ -312,7 +195,7 @@ class ExperimentRunner:
         The spec's models and scenario grid are resolved against this
         runner's config (its profile is ignored here — build the runner from
         ``spec.config()``, or use :func:`repro.api.run_experiment`, to honor
-        it).  Reusing one runner across specs shares the campaign cache.
+        it).
 
         Execution goes through :class:`~repro.eval.engine.ExecutionEngine`:
         ``jobs``/``cache``/``executor`` override the runner-level settings
@@ -328,7 +211,6 @@ class ExperimentRunner:
             self.config,
             jobs=self.jobs if jobs is None else jobs,
             cache=self.cache if cache is None else cache,
-            campaigns=self._campaigns,
             executor=self.executor if executor is None else executor,
         )
         return engine.run(

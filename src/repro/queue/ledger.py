@@ -54,6 +54,7 @@ from ..eval.engine import (
     ArtifactCache,
     ExecutionPlan,
     PlanUnit,
+    results_from_outcomes,
     unit_digest,
     unit_id,
     unit_kind,
@@ -619,34 +620,22 @@ class RunLedger:
 
 
 def _plan_entries(plan: ExecutionPlan, config: "EvaluationConfig") -> List[UnitEntry]:
-    """Manifest rows for every plan unit, dependency edges resolved to ids."""
+    """Manifest rows for every plan unit, dependency edges resolved to ids.
+
+    The first unit of each work group depends on its building's campaign;
+    every later unit of the group depends on that first (train) unit.
+    """
     units = plan.all_units()
-    campaign_ids = {
-        unit.building: unit_id(unit, config) for unit in plan.campaign_units
-    }
-    train_ids = {
-        (unit.task.key, unit.building): unit_id(unit, config)
-        for unit in plan.train_units
-    }
+    ids = {id(unit): unit_id(unit, config) for unit in units}
+    campaign_ids = {unit.building: ids[id(unit)] for unit in plan.campaign_units}
+    deps: Dict[int, Tuple[str, ...]] = {}
+    for head, *dependents in plan.work_groups():
+        deps[id(head)] = (campaign_ids[head.building],)
+        for unit in dependents:
+            deps[id(unit)] = (ids[id(head)],)
     entries: List[UnitEntry] = []
-    trains_standard: Dict[str, bool] = {}
     for index, unit in enumerate(units):
         kind = unit_kind(unit)
-        if kind == "campaign":
-            deps: Tuple[str, ...] = ()
-        elif kind == "train":
-            deps = (campaign_ids[unit.building],)
-        elif kind == "eval":
-            deps = (train_ids[(unit.task.key, unit.building)],)
-        else:  # scenario: depends on the train unit only when it reuses it
-            name = unit.spec.name
-            if name not in trains_standard:
-                trains_standard[name] = unit.spec.build().trains_standard_model
-            deps = (
-                (train_ids[(unit.task.key, unit.building)],)
-                if trains_standard[name]
-                else (campaign_ids[unit.building],)
-            )
         group = (
             f"campaign@{unit.building}"
             if kind == "campaign"
@@ -654,17 +643,16 @@ def _plan_entries(plan: ExecutionPlan, config: "EvaluationConfig") -> List[UnitE
         )
         entries.append(
             UnitEntry(
-                id=unit_id(unit, config),
+                id=ids[id(unit)],
                 kind=kind,
                 index=index,
                 digest=unit_digest(unit, config),
                 title=unit_title(unit),
-                deps=deps,
+                deps=deps.get(id(unit), ()),
                 group=group,
             )
         )
-    ids = [entry.id for entry in entries]
-    if len(set(ids)) != len(ids):  # pragma: no cover - plan already rejects dupes
+    if len(set(ids.values())) != len(units):  # pragma: no cover - plan already rejects dupes
         raise LedgerError("duplicate unit ids in plan")
     return entries
 
@@ -674,21 +662,15 @@ def collect_results(
 ) -> "ResultSet":
     """Merge completed unit outcomes into a canonical-order ResultSet.
 
-    Records are stitched in exactly the order :meth:`ExecutionEngine.run`
-    emits them (eval units in plan order, then scenario units), so a fully
-    completed queue run compares byte-identical to a serial
+    Records are stitched by :func:`~repro.eval.engine.results_from_outcomes`,
+    the same code :meth:`ExecutionEngine.run` uses, so a fully completed
+    queue run compares byte-identical to a serial
     :func:`~repro.api.run_experiment` of the same spec.  With
     ``allow_partial`` units that are not done are silently omitted (the
     graceful-degradation view of a run with parked failures); otherwise a
     missing outcome raises :class:`LedgerError`.
     """
-    from ..eval.metrics import ErrorStats
-    from ..eval.runner import EvaluationRecord, ResultSet
-    from ..eval.scenarios import AttackScenario
-
-    plan = ledger.plan
     config = ledger.config
-    results = ResultSet()
 
     def outcome_for(unit: PlanUnit) -> Optional[Dict[str, Any]]:
         uid = unit_id(unit, config)
@@ -701,34 +683,4 @@ def collect_results(
             )
         return document
 
-    for unit in plan.eval_units:
-        document = outcome_for(unit)
-        if document is None:
-            continue
-        for scenario, stats in zip(unit.scenarios, document["stats"]):
-            results.add(
-                EvaluationRecord(
-                    model=unit.task.label,
-                    building=unit.building,
-                    device=unit.device,
-                    scenario=scenario,
-                    stats=ErrorStats(**stats),
-                    defense=unit.task.defense_label,
-                )
-            )
-    for unit in plan.scenario_units:
-        document = outcome_for(unit)
-        if document is None:
-            continue
-        results.add(
-            EvaluationRecord(
-                model=unit.task.label,
-                building=unit.building,
-                device=unit.device,
-                scenario=AttackScenario(**document["attack_point"]),
-                stats=ErrorStats(**document["stats"]),
-                condition=unit.spec.display_name,
-                defense=unit.task.defense_label,
-            )
-        )
-    return results
+    return results_from_outcomes(ledger.plan, outcome_for)

@@ -8,10 +8,12 @@ A :class:`QueueWorker` is one loop over a :class:`~repro.queue.ledger.RunLedger`
 2. claim it with an atomic lease file, then start a heartbeat thread that
    renews the lease every ``ttl / 3`` seconds so long-running units survive
    any fixed TTL;
-3. execute it through :func:`repro.eval.engine.execute_unit` — artefacts
-   land in the shared :class:`~repro.eval.engine.ArtifactCache`, the outcome
-   document lands in the ledger's ``results/`` directory, and the unit is
-   marked ``done``;
+3. execute it through :func:`repro.eval.engine.execute_unit`, the same
+   unit body serial runs and pool work groups use, on the thread's
+   long-lived :class:`~repro.eval.engine.UnitMemo` — artefacts land in the
+   shared :class:`~repro.eval.engine.ArtifactCache`, the outcome document
+   lands in the ledger's ``results/`` directory, and the unit is marked
+   ``done``;
 4. on exception, book a failed attempt (exponential backoff, parked as
    ``failed`` after ``max_attempts``); dependents of a failed unit are
    marked ``skipped`` so the run still drains instead of deadlocking.

@@ -114,8 +114,8 @@ class RegistryError(KeyError):
     """Unknown or conflicting component name.
 
     Subclasses :class:`KeyError` so that callers of the legacy factory
-    functions (``make_baseline`` / ``repro.attacks.make_attack``), which
-    documented ``KeyError``, keep working unchanged.
+    function ``repro.attacks.make_attack``, which documented ``KeyError``,
+    keep working unchanged.
     """
 
     def __str__(self) -> str:  # KeyError repr()s its message; show it verbatim.

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
-    ATTACK_REGISTRY,
     FGSMAttack,
     MIMAttack,
     MITMScenario,
@@ -19,6 +18,7 @@ from repro.attacks import (
     make_attack,
 )
 from repro.data import RSS_FLOOR_DBM
+from repro.registry import ATTACKS
 
 
 class LinearVictim:
@@ -30,7 +30,7 @@ class LinearVictim:
 
 class TestRegistry:
     def test_contains_three_methods(self):
-        assert set(ATTACK_REGISTRY) == {"FGSM", "PGD", "MIM"}
+        assert set(ATTACKS.names(tag="crafting")) == {"FGSM", "PGD", "MIM"}
 
     @pytest.mark.parametrize("name, cls", [("FGSM", FGSMAttack), ("pgd", PGDAttack), ("Mim", MIMAttack)])
     def test_make_attack_is_case_insensitive(self, name, cls):

@@ -7,30 +7,29 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BASELINE_REGISTRY,
     AdvLocLocalizer,
     ANVILLocalizer,
     CNNLocalizer,
     DNNLocalizer,
     SANGRIALocalizer,
     WiDeepLocalizer,
-    make_baseline,
 )
 from repro.interfaces import DifferentiableLocalizer
+from repro.registry import LOCALIZERS, make_localizer
 
 
 class TestRegistry:
     def test_contains_paper_baselines(self):
         for name in ("KNN", "GPC", "DNN", "CNN", "AdvLoc", "ANVIL", "SANGRIA", "WiDeep"):
-            assert name in BASELINE_REGISTRY
+            assert name in LOCALIZERS
 
     def test_make_baseline_passes_kwargs(self):
-        model = make_baseline("DNN", epochs=5)
+        model = make_localizer("DNN", epochs=5)
         assert model.epochs == 5
 
     def test_unknown_baseline_raises(self):
         with pytest.raises(KeyError):
-            make_baseline("ResNet")
+            make_localizer("ResNet")
 
 
 class TestDNN:

@@ -2,7 +2,9 @@
 
 Cache artifacts and result digests are shared across hosts with different
 core counts, so a baseline grid must hash the same at one and two OpenBLAS
-threads.  (CALLOC is pinned the same way in ``tests/core/test_fused_calloc.py``.)
+threads.  The probe also runs the grid on a two-worker process pool and
+checks it against the serial records, so the digest covers a pool run too.
+(CALLOC is pinned the same way in ``tests/core/test_fused_calloc.py``.)
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ config = EvaluationConfig(
 spec = ExperimentSpec(models=("KNN", "DNN"), name="blas-threads")
 records = run_experiment(spec, config=config).to_records()
 assert [r["model"] for r in records] == ["KNN", "DNN"], records
+pooled = run_experiment(spec, config=config, jobs=2).to_records()
+assert pooled == records, "a jobs=2 pool run diverged from jobs=1"
 print(hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest())
 """
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, LocalizationService, run_experiment
-from repro.eval import ExperimentRunner
+from repro.eval import engine
 from repro.eval.engine import (
     ArtifactCache,
     ExecutionEngine,
@@ -22,8 +22,12 @@ from repro.eval.engine import (
     default_cache_dir,
     simulate_campaign,
     train_localizer,
+    unit_id,
 )
 from repro.eval.scenarios import AttackScenario, EvaluationConfig
+from repro.obs import trace
+
+from eval.legacy_oracle import LegacySerialRunner
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ class TestDeterminism:
 
     def test_engine_matches_legacy_serial_runner(self, quick_spec, serial_records):
         config = quick_spec.config()
-        runner = ExperimentRunner(config)
+        runner = LegacySerialRunner(config)
         legacy = runner.evaluate_models(
             quick_spec.resolve_factories(config),
             quick_spec.resolve_scenarios(config),
@@ -103,6 +107,48 @@ class TestDeterminism:
         config = EvaluationConfig.quick()
         with pytest.raises(ValueError, match="executor"):
             ExecutionEngine(config, jobs=2, executor="fork-bomb")
+
+
+class TestOneUnitBody:
+    """Every transport runs every planned unit through ``execute_unit`` once."""
+
+    @pytest.fixture()
+    def executed(self, monkeypatch):
+        calls = []
+        real = engine.execute_unit
+
+        def counting(unit, config, cache=None, memo=None):
+            calls.append(unit_id(unit, config))
+            return real(unit, config, cache, memo)
+
+        monkeypatch.setattr(engine, "execute_unit", counting)
+        return calls
+
+    @staticmethod
+    def planned_ids(spec):
+        config = spec.config()
+        return sorted(
+            unit_id(unit, config) for unit in spec.resolve_plan(config).all_units()
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "thread-pool"])
+    def test_each_planned_unit_executes_once(self, quick_spec, executed, jobs):
+        run_experiment(quick_spec, jobs=jobs, executor="thread")
+        planned = self.planned_ids(quick_spec)
+        assert len(executed) == len(planned)
+        assert sorted(executed) == planned
+
+    def test_thread_pool_emits_one_span_per_planned_unit(self, quick_spec):
+        spans = []
+        trace.add_exporter(spans.append)
+        try:
+            run_experiment(quick_spec, jobs=2, executor="thread")
+        finally:
+            trace.remove_exporter(spans.append)
+        unit_spans = sorted(
+            span.attrs["unit_id"] for span in spans if span.name == "engine.unit"
+        )
+        assert unit_spans == self.planned_ids(quick_spec)
 
 
 class TestArtifactCache:

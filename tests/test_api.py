@@ -21,6 +21,8 @@ from repro.eval.metrics import error_stats
 from repro.eval.runner import EvaluationRecord, ResultSet
 from repro.interfaces import ErrorSummary
 
+from eval.legacy_oracle import LegacySerialRunner
+
 #: A deliberately tiny grid so the end-to-end tests stay fast.
 SMALL_CONFIG = EvaluationConfig(
     buildings=("Building 1",),
@@ -142,7 +144,7 @@ class TestRunSpec:
     def test_spec_execution_matches_legacy_path(self):
         """runner.run(spec-from-JSON) == the factory-dict path, record for record."""
         config = SMALL_CONFIG
-        legacy = ExperimentRunner(config).evaluate_models(
+        legacy = LegacySerialRunner(config).evaluate_models(
             {"KNN": lambda: KNNLocalizer()}, config.scenarios()
         )
         spec = ExperimentSpec.from_json(json.dumps({"models": ["KNN"]}))

@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import ThreatModel
 from repro.attacks.fgsm import FGSMAttack
 from repro.attacks.mitm import SignalManipulationAttack, SignalSpoofingAttack
-from repro.baselines import BASELINE_REGISTRY, KNNLocalizer, make_baseline
+from repro.baselines import KNNLocalizer
 from repro.core import CALLOC
 from repro.registry import (
     ATTACKS,
@@ -45,6 +45,15 @@ class TestGlobalRegistries:
         model = make_localizer("KNN", k=3)
         assert isinstance(model, KNNLocalizer)
         assert model.k == 3
+
+    def test_register_localizer_decorator_is_global(self):
+        sentinel = object()
+        try:
+            register_localizer("___test-model___", lambda: sentinel)
+            assert make_localizer("___test-model___") is sentinel
+        finally:
+            LOCALIZERS._entries.pop("___test-model___", None)
+            LOCALIZERS._lookup.pop("___test-model___", None)
 
     def test_lookup_is_case_insensitive(self):
         assert isinstance(make_localizer("calloc", epochs_per_lesson=1), CALLOC)
@@ -114,29 +123,3 @@ class TestRegistryMechanics:
         registry.register("B", lambda: "b", tags=("two",))
         assert set(registry.as_dict()) == {"A", "B"}
         assert set(registry.as_dict(tag="one")) == {"A"}
-
-
-class TestLegacyShims:
-    def test_baseline_registry_dict_still_matches(self):
-        assert set(BASELINE_REGISTRY) == {
-            "KNN", "NaiveBayes", "GPC", "DNN", "CNN",
-            "AdvLoc", "ANVIL", "SANGRIA", "WiDeep",
-        }
-        for name, factory in BASELINE_REGISTRY.items():
-            assert LOCALIZERS.get(name) is factory
-
-    def test_make_baseline_delegates_to_registry(self):
-        model = make_baseline("KNN", k=7)
-        assert isinstance(model, KNNLocalizer)
-        assert model.k == 7
-        with pytest.raises(KeyError):
-            make_baseline("ResNet")
-
-    def test_register_localizer_decorator_is_global(self):
-        sentinel = object()
-        try:
-            register_localizer("___test-model___", lambda: sentinel)
-            assert make_localizer("___test-model___") is sentinel
-        finally:
-            LOCALIZERS._entries.pop("___test-model___", None)
-            LOCALIZERS._lookup.pop("___test-model___", None)
